@@ -7,21 +7,21 @@
 // Usage:
 //
 //	trace record -app fft -p 32 -o fft.sp2t [-opt n=4096]
-//	trace record -app fft -p 32 -o fft.trace -format v1
 //	trace replay -i fft.sp2t -cache 65536 -assoc 2 -line 64
 //	trace replay -i fft.sp2t -sweep          # full Figure-3 cache sweep
 //	trace replay -i fft.sp2t -sweep -stream  # out-of-core: blocks stream from disk
 //	trace replay -i fft.sp2t -stream -window 1:2  # epochs 1-2 only; other blocks never decoded
 //	trace info -i fft.sp2t                   # counts, bytes/reference, block shape
-//	trace convert -i fft.trace -o fft.sp2t   # v1 → v2 (and -to v1 for the reverse)
+//	trace convert -i fft.trace -o fft.sp2t   # v1 → v2
 //	trace verify -i fft.sp2t                 # decode every block, check the sidecar hash
 //	trace verify -dir ~/.cache/splash2/traces  # audit a whole spill directory
 //
-// Traces come in two formats: the flat v1 stream (one packed word per
-// event) and the columnar v2 container (delta-compressed per-processor
-// blocks plus an index footer; see internal/README.md). record writes
-// v2 by default; replay reads either, and with -stream replays a v2
-// container without ever materializing the event array.
+// record and convert write the columnar v2 container (delta-compressed
+// per-processor blocks plus an index footer; see internal/README.md).
+// The flat v1 stream (one packed word per event) is read-only: replay,
+// info and verify read either format, convert turns v1 into v2, and
+// replay -stream replays a v2 container without ever materializing the
+// event array.
 //
 // Replay can inject deterministic read faults to drill the decoder's
 // failure handling (a truncated stream fails with a descriptive error,
@@ -101,20 +101,14 @@ func (o optFlags) Set(s string) error {
 	return nil
 }
 
-// writeTrace serializes tr to path in the requested format, returning
-// the byte count.
-func writeTrace(tr *splash2.Trace, path, format string) (int64, error) {
+// writeTrace serializes tr to path as a v2 container, returning the
+// byte count.
+func writeTrace(tr *splash2.Trace, path string) (int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return 0, err
 	}
-	var n int64
-	switch format {
-	case "v1":
-		n, err = tr.WriteTo(f)
-	case "v2":
-		n, err = tr.WriteV2(f)
-	}
+	n, err := tr.WriteV2(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -126,8 +120,7 @@ func record(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	app := fs.String("app", "", "program to record")
 	procs := fs.Int("p", 32, "processors")
-	out := fs.String("o", "", "output trace file")
-	format := fs.String("format", "v2", `container format: "v2" (columnar blocks) or "v1" (flat stream)`)
+	out := fs.String("o", "", "output trace file (v2 container)")
 	opts := optFlags{}
 	fs.Var(opts, "opt", "program option override key=value (repeatable)")
 	if err := fs.Parse(args); err != nil {
@@ -137,22 +130,18 @@ func record(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trace record: -app and -o required")
 		return cli.ExitUsage
 	}
-	if *format != "v1" && *format != "v2" {
-		fmt.Fprintf(stderr, "trace record: unknown -format %q (want v1 or v2)\n", *format)
-		return cli.ExitUsage
-	}
 
 	tr, st, err := splash2.RecordTrace(*app, *procs, opts)
 	if err != nil {
 		return fail(stderr, err)
 	}
-	n, err := writeTrace(tr, *out, *format)
+	n, err := writeTrace(tr, *out)
 	if err != nil {
 		return fail(stderr, err)
 	}
 	a := splash2.AggregateCounters(st.Procs)
-	fmt.Fprintf(stdout, "recorded %s: %d references (%d instructions) → %s (%d bytes, %s)\n",
-		*app, tr.Len(), a.Instr, *out, n, *format)
+	fmt.Fprintf(stdout, "recorded %s: %d references (%d instructions) → %s (%d bytes, v2)\n",
+		*app, tr.Len(), a.Instr, *out, n)
 	return cli.ExitOK
 }
 
@@ -212,6 +201,14 @@ func replay(args []string, stdout, stderr io.Writer) int {
 		}
 		inj = splash2.NewFaultInjector(*faultSeed, rules...)
 	}
+	var lo, hi uint64
+	if *window != "" {
+		var err error
+		if lo, hi, err = parseWindow(*window); err != nil {
+			fmt.Fprintln(stderr, "trace replay:", err)
+			return cli.ExitUsage
+		}
+	}
 
 	src, closer, err := openSource(*in, *stream, inj)
 	if err != nil {
@@ -219,12 +216,7 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	}
 	defer closer.Close()
 	if *window != "" {
-		lo, n, err := parseWindow(*window)
-		if err != nil {
-			fmt.Fprintln(stderr, "trace replay:", err)
-			return cli.ExitUsage
-		}
-		if src, err = memsys.EpochWindow(src, lo, lo+n-1); err != nil {
+		if src, err = memsys.EpochWindow(src, lo, hi); err != nil {
 			return fail(stderr, err)
 		}
 	}
@@ -267,15 +259,20 @@ func replay(args []string, stdout, stderr io.Writer) int {
 	return cli.ExitOK
 }
 
-// parseWindow parses the -window epoch range "start:len".
-func parseWindow(s string) (start, n uint64, err error) {
-	if _, err := fmt.Sscanf(s, "%d:%d", &start, &n); err != nil {
+// parseWindow parses the -window epoch range "start:len" into the
+// inclusive epoch range [start, start+len-1].
+func parseWindow(s string) (lo, hi uint64, err error) {
+	var n uint64
+	if _, err := fmt.Sscanf(s, "%d:%d", &lo, &n); err != nil {
 		return 0, 0, fmt.Errorf("-window %q: want \"start:len\" (two non-negative integers)", s)
 	}
 	if n == 0 {
 		return 0, 0, fmt.Errorf("-window %q: length must be positive", s)
 	}
-	return start, n, nil
+	if lo+(n-1) < lo {
+		return 0, 0, fmt.Errorf("-window %q: range ends past the last representable epoch", s)
+	}
+	return lo, lo + (n - 1), nil
 }
 
 // sniffFormat reads the magic of a trace file: "v1", "v2", or an error.
@@ -395,8 +392,7 @@ func convert(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("trace convert", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	in := fs.String("i", "", "input trace file (v1 or v2, sniffed)")
-	out := fs.String("o", "", "output trace file")
-	to := fs.String("to", "v2", `target format: "v2" (columnar blocks) or "v1" (flat stream)`)
+	out := fs.String("o", "", "output trace file (v2 container)")
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
 	}
@@ -404,53 +400,24 @@ func convert(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "trace convert: -i and -o required")
 		return cli.ExitUsage
 	}
-	if *to != "v1" && *to != "v2" {
-		fmt.Fprintf(stderr, "trace convert: unknown -to %q (want v1 or v2)\n", *to)
-		return cli.ExitUsage
-	}
 	from, err := sniffFormat(*in)
 	if err != nil {
 		return fail(stderr, err)
 	}
-
-	var n int64
-	var events int
-	if from == "v2" && *to == "v1" {
-		// Out of core: stream blocks from the container straight into the
-		// flat encoding, never materializing the event array.
-		tf, err := splash2.OpenTraceFile(*in)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		defer tf.Close()
-		events = tf.Len()
-		f, err := os.Create(*out)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		n, err = tf.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fail(stderr, err)
-		}
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			return fail(stderr, err)
-		}
-		tr, err := memsys.ReadTrace(f)
-		f.Close()
-		if err != nil {
-			return fail(stderr, err)
-		}
-		events = tr.Len()
-		if n, err = writeTrace(tr, *out, *to); err != nil {
-			return fail(stderr, err)
-		}
+	f, err := os.Open(*in)
+	if err != nil {
+		return fail(stderr, err)
 	}
-	fmt.Fprintf(stdout, "converted %s (%s, %d events) → %s (%s, %d bytes)\n",
-		*in, from, events, *out, *to, n)
+	tr, err := memsys.ReadTrace(f)
+	f.Close()
+	if err != nil {
+		return fail(stderr, err)
+	}
+	n, err := writeTrace(tr, *out)
+	if err != nil {
+		return fail(stderr, err)
+	}
+	fmt.Fprintf(stdout, "converted %s (%s, %d events) → %s (v2, %d bytes)\n",
+		*in, from, tr.Len(), *out, n)
 	return cli.ExitOK
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"splash2/internal/cli"
+	"splash2/internal/memsys"
 )
 
 func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -18,12 +19,37 @@ func runCLI(t *testing.T, args ...string) (code int, stdout, stderr string) {
 }
 
 // recordTo records a small fft trace into dir and returns its path.
+// record writes only v2; the read-only v1 form is the recording's flat
+// bytes, written through the library.
 func recordTo(t *testing.T, dir, format string) string {
 	t.Helper()
-	path := filepath.Join(dir, "fft."+format)
-	code, _, stderr := runCLI(t, "record", "-app", "fft", "-p", "2", "-opt", "n=64", "-o", path, "-format", format)
+	v2 := filepath.Join(dir, "fft.v2")
+	code, _, stderr := runCLI(t, "record", "-app", "fft", "-p", "2", "-opt", "n=64", "-o", v2)
 	if code != cli.ExitOK {
 		t.Fatalf("record exited %d: %s", code, stderr)
+	}
+	if format == "v2" {
+		return v2
+	}
+	in, err := os.Open(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	tr, err := memsys.ReadTrace(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "fft.v1")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.WriteTo(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return path
 }
@@ -33,12 +59,13 @@ func TestUsageErrors(t *testing.T) {
 		{},
 		{"frobnicate"},
 		{"record"}, // -app and -o required
-		{"record", "-app", "fft", "-o", "x", "-format", "v3"},
+		{"record", "-app", "fft", "-o", "x", "-format", "v1"}, // v1 is read-only
 		{"record", "-badflag"},
-		{"replay"},             // -i required
+		{"replay"}, // -i required
+		{"replay", "-i", "x", "-window", "18446744073709551615:2"}, // end overflows
 		{"info"},               // -i required
 		{"convert", "-i", "x"}, // -o required
-		{"convert", "-i", "x", "-o", "y", "-to", "v9"},
+		{"convert", "-i", "x", "-o", "y", "-to", "v1"}, // v1 is read-only
 	}
 	for _, args := range cases {
 		if code, _, _ := runCLI(t, args...); code != cli.ExitUsage {
@@ -131,6 +158,25 @@ func TestReplayWindow(t *testing.T) {
 	}
 }
 
+// TestReplayWindowSweep: a windowed sweep digests the window view for
+// its replay keys, and prints the same bytes whether the window is cut
+// from the in-memory trace or streamed from the container.
+func TestReplayWindowSweep(t *testing.T) {
+	v2 := recordTo(t, t.TempDir(), "v2")
+	args := []string{"replay", "-i", v2, "-sweep", "-window", "0:1"}
+	code, memOut, stderr := runCLI(t, args...)
+	if code != cli.ExitOK {
+		t.Fatalf("windowed sweep exited %d: %s", code, stderr)
+	}
+	code, strOut, stderr := runCLI(t, append(args, "-stream")...)
+	if code != cli.ExitOK {
+		t.Fatalf("windowed streaming sweep exited %d: %s", code, stderr)
+	}
+	if memOut != strOut {
+		t.Errorf("windowed streaming sweep diverges:\n got %s\nwant %s", strOut, memOut)
+	}
+}
+
 // TestStreamReplayRejectsV1 gives the v1-specific guidance rather than
 // a generic magic error.
 func TestStreamReplayRejectsV1(t *testing.T) {
@@ -144,31 +190,15 @@ func TestStreamReplayRejectsV1(t *testing.T) {
 	}
 }
 
-// TestConvertRoundTrip: v1 → v2 → v1 must reproduce the original flat
-// bytes exactly, and every form must replay identically.
+// TestConvertRoundTrip: v1 → v2 must shrink the file, and both forms
+// must replay identically.
 func TestConvertRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	v1 := recordTo(t, dir, "v1")
 	v2 := filepath.Join(dir, "fft.sp2t")
-	back := filepath.Join(dir, "fft.back.trace")
 
 	if code, _, stderr := runCLI(t, "convert", "-i", v1, "-o", v2); code != cli.ExitOK {
 		t.Fatalf("convert to v2 exited %d: %s", code, stderr)
-	}
-	if code, _, stderr := runCLI(t, "convert", "-i", v2, "-o", back, "-to", "v1"); code != cli.ExitOK {
-		t.Fatalf("convert back to v1 exited %d: %s", code, stderr)
-	}
-
-	orig, err := os.ReadFile(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	round, err := os.ReadFile(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(orig, round) {
-		t.Fatalf("v1 → v2 → v1 round trip changed the bytes: %d vs %d", len(orig), len(round))
 	}
 
 	fi1, err := os.Stat(v1)

@@ -361,7 +361,7 @@ func (cfg Config) runDeterminism(pass *Pass) {
 // code would produce events outside any epoch order — breaking both the
 // byte-determinism of recordings and the one-lock-per-batch fast path.
 var captureMethods = map[string]map[string]bool{
-	"Recorder": {"Record": true, "RecordReset": true, "RecordBatch": true, "RecordResetAt": true},
+	"Recorder": {"RecordBatch": true, "RecordResetAt": true},
 	"System":   {"Access": true, "AccessAt": true, "AccessBatch": true},
 }
 

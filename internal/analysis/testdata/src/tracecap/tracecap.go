@@ -9,8 +9,6 @@ import "splash2/internal/memsys"
 
 // record stands in for app code writing straight into a recorder.
 func record(rec *memsys.Recorder, a memsys.Addr) {
-	rec.Record(0, a, true)                     // want tracecapture
-	rec.RecordReset()                          // want tracecapture
 	rec.RecordBatch(1, 3, []uint64{uint64(a)}) // want tracecapture
 	rec.RecordResetAt(4)                       // want tracecapture
 }
@@ -30,7 +28,7 @@ func methodValue(sys *memsys.System) func(int, memsys.Addr, bool) (bool, memsys.
 // suppressed shows a justified tooling escape.
 func suppressed(rec *memsys.Recorder) {
 	//splash:allow tracecapture fixture: deliberate single-event tooling write with a reason
-	rec.Record(0, 8, false)
+	rec.RecordBatch(0, 0, []uint64{8 << 8})
 }
 
 // replayIsClean: the replay entry points are not per-reference capture

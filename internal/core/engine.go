@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
@@ -440,19 +438,15 @@ func (e *Engine) recordStatsJob(g *runner.Graph, rec runner.Job[recordOut], id t
 
 // ReplaySweep replays an already-loaded reference stream (an in-memory
 // trace or an opened TraceFile) through each configuration in parallel.
-// Replays are keyed by a digest of the stream content — the digest is
-// format-independent (v1 bytes of the same events), so converting a
-// trace file between v1 and v2 never invalidates cached replays.
+// Replays are keyed by memsys.TraceDigest of the stream content — the
+// digest is format-independent (v1 bytes of the same events), so
+// converting a trace file from v1 to v2 never invalidates cached
+// replays.
 func (e *Engine) ReplaySweep(src memsys.TraceSource, cfgs []memsys.Config) ([]memsys.Stats, error) {
-	wt, ok := src.(io.WriterTo)
-	if !ok {
-		return nil, fmt.Errorf("core: trace source %T is not digestable (io.WriterTo)", src)
-	}
-	h := sha256.New()
-	if _, err := wt.WriteTo(h); err != nil {
+	digest, err := memsys.TraceDigest(src)
+	if err != nil {
 		return nil, err
 	}
-	digest := hex.EncodeToString(h.Sum(nil))
 	g := e.newGraph()
 	jobs := make([]runner.Job[memsys.Stats], len(cfgs))
 	for i, cfg := range cfgs {

@@ -6,11 +6,12 @@ import (
 	"math/bits"
 )
 
-// This file implements a SHARDS-style sampled variant of the Mattson
-// stack-distance pass in stackdist.go: spatially-hashed sampling
-// estimates the full miss-ratio curve from a small fraction of the
-// references, with the same per-processor, invalidation-aware
-// semantics as the exact pass.
+// This file implements the Mattson stack-distance pass over the stack
+// machinery in stackdist.go, with SHARDS-style sampling: spatially-
+// hashed sampling estimates the full miss-ratio curve from a small
+// fraction of the references, with per-processor, invalidation-aware
+// semantics. At rate 1 every line is tracked and the pass is exact —
+// that is StackDistances.
 //
 // Spatial hashing (Waldspurger et al., SHARDS) samples LINES, not
 // events: a line is tracked iff hash(line) < T, giving sampling rate
@@ -29,7 +30,7 @@ import (
 // d/R ≥ C, so querying the estimated-domain histogram selects exactly
 // the same samples as thresholding the raw sampled distances — and at
 // R = 1 the index is d itself, which is what makes the rate-1 pass
-// bit-identical to StackDistances.
+// exact.
 //
 // Each sample carries weight 1/R (estimating R·N references from N
 // samples). In fixed-rate mode R is constant, so the pass accumulates
@@ -57,7 +58,8 @@ import (
 // every capacity. The construction is deterministic — no RNG — so a
 // fixed seed gives byte-identical profiles across runs and GOMAXPROCS
 // settings. When the effective rate is 1 the pass is exact and the
-// band collapses to zero width.
+// band collapses to zero width; a fixed-rate pass at rate 1 therefore
+// keeps no strata at all.
 //
 // Spatial sampling is blind below a granularity of 1/R lines: a
 // sampled distance of d can only assert the true distance lies near
@@ -90,8 +92,8 @@ import (
 // SampledOptions configures a sampled stack-distance pass.
 type SampledOptions struct {
 	// Rate is the spatial sampling rate in (0, 1]: a line is tracked iff
-	// hash(line, Seed) falls below Rate·2^64. Rate 1 tracks every line
-	// and reproduces StackDistances bit for bit.
+	// hash(line, Seed) falls below Rate·2^64. Rate 1 tracks every line:
+	// the exact pass StackDistances runs.
 	Rate float64
 	// Seed perturbs the line hash, choosing an independent sampled
 	// subset. The pass is deterministic for a fixed seed.
@@ -357,8 +359,9 @@ type SampledProfile struct {
 	// configured rate in fixed mode, the final (possibly lowered)
 	// threshold's rate in adaptive mode.
 	rate float64
-	// exact flags a pass that tracked every line (rate 1, fixed mode):
-	// estimates are bit-identical to StackDistances and bands collapse.
+	// exact flags a pass that tracked every line (rate 1, or an adaptive
+	// budget that never overflowed): estimates are exact counts and
+	// bands collapse.
 	exact bool
 	// scaleDiv divides every weighted sum at query time: the fixed-mode
 	// rate (samples carry unit weight), or 1 in adaptive mode (weights
@@ -374,6 +377,7 @@ type SampledProfile struct {
 	// strataMiss[k] accumulates stratum k's always-miss weight (cold +
 	// coherence); strataHist[k] its estimated-depth histogram. Aggregate
 	// across processors — the bands cover the aggregate miss ratio.
+	// Unused (nil histograms) in a fixed-rate pass at rate 1.
 	strataMiss [sampleStrata]float64
 	strataHist [sampleStrata][]float64
 }
@@ -423,9 +427,15 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 		}
 	}
 
+	// A fixed-rate pass at rate 1 can never leave the exact state, so
+	// its bands are zero-width and the strata would go unread.
+	strata := adaptive || !all
+
 	sp := &SampledProfile{lineSize: lineSize, maxLines: maxLines, procs: make([]sampledCounts, nproc)}
-	for k := range sp.strataHist {
-		sp.strataHist[k] = make([]float64, maxLines+1)
+	if strata {
+		for k := range sp.strataHist {
+			sp.strataHist[k] = make([]float64, maxLines+1)
+		}
 	}
 	var wins []*exactWindow
 	var winHolders []uint64
@@ -444,7 +454,17 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 		for i := range l {
 			l[i] = slotNever
 		}
-		stacks[p] = sdStack{tree: make(fenwick, sdInitialCap), last: l}
+		// A processor's slot clock never passes its reference count, so a
+		// short stream needs no more tree than that.
+		var refs uint64
+		if p < len(meta.ProcRefs) {
+			refs = meta.ProcRefs[p]
+		}
+		capHint := int(refs) + 1
+		if refs >= sdInitialCap {
+			capHint = sdInitialCap
+		}
+		stacks[p] = sdStack{tree: make(fenwick, capHint), last: l}
 		sp.procs[p].hist = make([]float64, maxLines+1)
 	}
 	holders := make([]uint64, lines) // line -> bitset of stack-resident procs
@@ -591,7 +611,9 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 				} else {
 					c.coherence += w
 				}
-				sp.strataMiss[k] += w
+				if strata {
+					sp.strataMiss[k] += w
+				}
 				if len(st.holes) > 0 {
 					st.tree.add(st.holes.popMax(), -1)
 				}
@@ -619,7 +641,9 @@ func SampledStackDistances(src TraceSource, lineSize, maxCacheSize int, opt Samp
 					dEst = maxLines
 				}
 				c.hist[dEst] += w
-				sp.strataHist[k][dEst] += w
+				if strata {
+					sp.strataHist[k][dEst] += w
+				}
 				if len(st.holes) > 0 && st.holes[0] > cur {
 					st.tree.add(st.holes.popMax(), -1)
 					st.holes.push(cur)
@@ -680,8 +704,9 @@ func (sp *SampledProfile) Procs() int { return len(sp.procs) }
 // MaxTracked budget forced the threshold down.
 func (sp *SampledProfile) Rate() float64 { return sp.rate }
 
-// Exact reports whether the pass tracked every line (rate 1, fixed
-// mode), making every estimate bit-identical to StackDistances.
+// Exact reports whether the pass tracked every line (rate 1, or an
+// adaptive budget that never overflowed), making every estimate an
+// exact count.
 func (sp *SampledProfile) Exact() bool { return sp.exact }
 
 // Refs returns the exact total reference count since the last reset
@@ -717,8 +742,7 @@ func (sp *SampledProfile) ExactLines() int { return sp.exactLines }
 
 // EstProcMisses returns processor p's estimated miss count in a fully-
 // associative LRU cache of the given size. At rate 1, or for capacities
-// within the exact window, the estimate equals StackProfile.ProcMisses
-// exactly.
+// within the exact window, the estimate is the exact count.
 func (sp *SampledProfile) EstProcMisses(p, cacheSize int) (float64, error) {
 	capLines, err := sp.capacityLines(cacheSize)
 	if err != nil {
@@ -758,8 +782,8 @@ func (sp *SampledProfile) EstMisses(cacheSize int) (float64, error) {
 
 // EstMissRate returns the estimated misses per reference for a fully-
 // associative LRU cache of the given size. The denominator is the
-// exact reference count, so at rate 1 the result is bit-identical to
-// StackProfile.MissRate.
+// exact reference count, so at rate 1 the result is the exact miss
+// ratio.
 func (sp *SampledProfile) EstMissRate(cacheSize int) (float64, error) {
 	misses, err := sp.EstMisses(cacheSize)
 	if err != nil {

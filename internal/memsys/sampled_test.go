@@ -34,68 +34,6 @@ func sampledFingerprint(t *testing.T, sp *SampledProfile, sizes []int) []uint64 
 	return out
 }
 
-// TestSampledRateOneBitIdentical: at sampling rate 1 the sampled pass
-// must reproduce the exact pass bit for bit — per-processor miss
-// counts, aggregate miss rates, reference counts — with zero-width
-// confidence bands, on traces with invalidations and epoch resets.
-func TestSampledRateOneBitIdentical(t *testing.T) {
-	for _, resets := range []bool{false, true} {
-		for _, exactLines := range []int{0, 64} {
-			tr := buildSharingTrace(7, 4, 5000, resets)
-			exact, err := StackDistances(tr, 64, stackSizes[len(stackSizes)-1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			sp, err := SampledStackDistances(tr, 64, stackSizes[len(stackSizes)-1], SampledOptions{Rate: 1, Seed: 42, ExactLines: exactLines})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sp.Exact() {
-				t.Fatal("rate-1 profile not flagged exact")
-			}
-			if sp.Rate() != 1 {
-				t.Fatalf("rate-1 profile reports rate %v", sp.Rate())
-			}
-			if sp.Refs() != exact.Refs() || sp.SampledRefs() != exact.Refs() {
-				t.Fatalf("refs %d sampled %d, exact %d", sp.Refs(), sp.SampledRefs(), exact.Refs())
-			}
-			for _, cs := range stackSizes {
-				for p := 0; p < sp.Procs(); p++ {
-					want, err := exact.ProcMisses(p, cs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := sp.EstProcMisses(p, cs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != float64(want) {
-						t.Fatalf("resets=%v cs=%d proc=%d: est %v != exact %d", resets, cs, p, got, want)
-					}
-				}
-				wantRate, err := exact.MissRate(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotRate, err := sp.EstMissRate(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if math.Float64bits(gotRate) != math.Float64bits(wantRate) {
-					t.Fatalf("resets=%v cs=%d: est rate %v not bit-identical to exact %v", resets, cs, gotRate, wantRate)
-				}
-				lo, hi, err := sp.Band(cs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lo != gotRate || hi != gotRate {
-					t.Fatalf("resets=%v cs=%d: exact pass band [%v, %v] not zero-width at %v", resets, cs, lo, hi, gotRate)
-				}
-			}
-		}
-	}
-}
-
 // TestSampledAdaptiveNeverOverflowingIsExact: rate 1 with a budget the
 // trace never overflows is still the exact pass.
 func TestSampledAdaptiveNeverOverflowingIsExact(t *testing.T) {

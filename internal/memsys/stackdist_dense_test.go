@@ -16,15 +16,15 @@ type sdEvent struct {
 }
 
 func sdBuild(evs []sdEvent) *Trace {
-	rec := NewRecorder(64)
+	var packed []uint64
 	for _, e := range evs {
 		if e.reset {
-			rec.RecordReset()
+			packed = append(packed, resetMarker)
 			continue
 		}
-		rec.Record(e.p, Addr(e.line*64), e.write)
+		packed = append(packed, traceEvent(e.p, Addr(e.line*64), e.write))
 	}
-	return rec.Finish(make([]int32, 64))
+	return recordInOrder(packed, make([]int32, 64))
 }
 
 // sdCheck compares StackDistances against fully-associative Replay at

@@ -1,7 +1,10 @@
 package memsys
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"runtime"
@@ -24,12 +27,11 @@ type Trace struct {
 	// events packs one access per entry: addr<<8 | proc<<1 | write.
 	events []uint64
 
-	// spans is the per-processor run structure of events, when known: the
-	// batched recorder's merge produces one span per (epoch, processor)
-	// run and the v2 decoder one per block, so the columnar v2 writer can
-	// emit epoch-stamped blocks without rediscovering the runs. nil for
-	// traces recorded through the serialized single-event path, where
-	// WriteV2 derives runs (and reset-marker eras as epochs) by scanning.
+	// spans is the per-processor run structure of events: the recorder's
+	// merge produces one span per (epoch, processor) run, the v2 decoder
+	// one per block, and the v1 reader derives runs (and reset-marker eras
+	// as epochs) by scanning, so the columnar v2 writer and epoch windows
+	// never rediscover the runs.
 	spans []traceSpan
 
 	// Home map of the recording machine, at its line granularity.
@@ -100,6 +102,9 @@ type TraceSource interface {
 	// blocks calls yield for consecutive chunks of the event stream, in
 	// recorded order. The slice is only valid until yield returns.
 	blocks(yield func(events []uint64) error) error
+	// homeMap returns the recorded home map (read-only), at the
+	// granularity Meta().HomeLineSize names.
+	homeMap() []int32
 }
 
 // traceEvent packs an access. Processor id 127 is reserved as the
@@ -140,6 +145,8 @@ func (t *Trace) HomeFn(lineSize int) HomeFn {
 	return homeFn(t.homes, t.homeLineSize, lineSize)
 }
 
+func (t *Trace) homeMap() []int32 { return t.homes }
+
 // maxTraceProcs is the number of processor ids a trace can carry: the
 // packed encoding has 7 bits for the processor, and id 127 is reserved
 // as the measurement-reset marker, leaving ids 0..126.
@@ -163,35 +170,24 @@ type procStream struct {
 	runs   []epochRun
 }
 
-// Recorder accumulates a Trace. It supports two capture paths:
-//
-//   - Record/RecordReset serialize single events under a mutex, in call
-//     order — the recorded interleaving is exactly the caller's
-//     interleaving (tools and tests drive this path).
-//   - RecordBatch/RecordResetAt append whole per-processor batches to
-//     lock-free sub-streams stamped with synchronization epochs; Finish
-//     merges them into one legal global order deterministically (by
-//     epoch, then processor, then local index), so recording the same
-//     deterministic program is byte-identical across runs and
-//     GOMAXPROCS settings. internal/mach's batched flush path drives
-//     this.
-//
-// The two paths must not be mixed on one Recorder; Finish panics if
-// both were used.
+// Recorder accumulates a Trace. RecordBatch/RecordResetAt append whole
+// per-processor batches to lock-free sub-streams stamped with
+// synchronization epochs; Finish merges them into one legal global
+// order deterministically (by epoch, then processor, then local index),
+// so recording the same deterministic program is byte-identical across
+// runs and GOMAXPROCS settings. internal/mach's batched flush path
+// drives it.
 type Recorder struct {
-	mu      sync.Mutex
-	tr      Trace
-	streams []procStream
-	markers []uint64 // sync epochs of batched reset markers, nondecreasing
+	mu           sync.Mutex // guards markers
+	homeLineSize int
+	streams      []procStream
+	markers      []uint64 // sync epochs of reset markers, nondecreasing
 }
 
 // NewRecorder creates a recorder for a machine whose home map has the
 // given line granularity.
 func NewRecorder(homeLineSize int) *Recorder {
-	return &Recorder{
-		tr:      Trace{homeLineSize: homeLineSize},
-		streams: make([]procStream, maxTraceProcs),
-	}
+	return &Recorder{homeLineSize: homeLineSize, streams: make([]procStream, maxTraceProcs)}
 }
 
 // checkProc bounds-checks a processor id against the trace encoding.
@@ -200,22 +196,6 @@ func checkProc(proc int) {
 		panic(fmt.Sprintf("memsys: trace supports at most %d processors (ids 0-%d; id %d is the reset marker), got %d",
 			maxTraceProcs, maxTraceProcs-1, maxTraceProcs, proc))
 	}
-}
-
-// Record appends one access, serialized in call order.
-func (r *Recorder) Record(proc int, a Addr, write bool) {
-	checkProc(proc)
-	r.mu.Lock()
-	r.tr.events = append(r.tr.events, traceEvent(proc, a, write))
-	r.mu.Unlock()
-}
-
-// RecordReset appends a measurement-reset marker (epoch boundary) to the
-// serialized single-event stream.
-func (r *Recorder) RecordReset() {
-	r.mu.Lock()
-	r.tr.events = append(r.tr.events, resetMarker)
-	r.mu.Unlock()
 }
 
 // RecordBatch appends a batch of packed events (traceEvent encoding,
@@ -344,36 +324,14 @@ func (r *Recorder) mergeBatches() ([]uint64, []traceSpan) {
 	return out, spans
 }
 
-// batchedLocked reports whether the lock-free batched capture path was
-// used. It is derived from the sub-stream and marker state rather than
-// set by RecordBatch, which must not write any shared scalar (it runs
-// concurrently on every processor goroutine).
-func (r *Recorder) batchedLocked() bool {
-	if len(r.markers) > 0 {
-		return true
-	}
-	for p := range r.streams {
-		if len(r.streams[p].runs) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Finish attaches the home map and returns the completed trace. The
 // recorder must not be used afterwards.
 func (r *Recorder) Finish(homes []int32) *Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.batchedLocked() {
-		if len(r.tr.events) > 0 {
-			panic("memsys: Recorder mixed Record/RecordReset with the batched capture path")
-		}
-		r.tr.events, r.tr.spans = r.mergeBatches()
-		r.streams = nil
-	}
-	r.tr.homes = append([]int32(nil), homes...)
-	return &r.tr
+	events, spans := r.mergeBatches()
+	r.streams = nil
+	return &Trace{events: events, spans: spans, homeLineSize: r.homeLineSize, homes: append([]int32(nil), homes...)}
 }
 
 // Meta returns the stream summary, computing the one-pass scan on first
@@ -593,38 +551,66 @@ func ReplayMulti(src TraceSource, cfgs []Config) ([]Stats, error) {
 // traceMagic identifies the flat v1 serialized format.
 const traceMagic = 0x53504c32 // "SPL2"
 
-// WriteTo serializes the trace in the flat v1 format (little-endian
-// binary): magic, line size, home count, homes, event count, events —
-// 8 bytes per event. It implements io.WriterTo. WriteV2 produces the
-// compact columnar container instead; ReadTrace accepts both.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
+// flatChunk is how many encoded bytes writeFlat gathers before each
+// write, so sources with many small blocks still write in large chunks.
+const flatChunk = 1 << 16
+
+// writeFlat serializes src in the flat v1 format (little-endian binary):
+// magic, home line size, home count, homes, event count, events — 8
+// bytes per event. The events stream block by block through one reused
+// buffer, so any source serializes in O(block buffer) memory. These
+// bytes are the canonical form of a stream's content: TraceDigest
+// hashes them.
+func writeFlat(w io.Writer, src TraceSource) (int64, error) {
+	meta := src.Meta()
+	homes := src.homeMap()
+	le := binary.LittleEndian
+	buf := make([]byte, 0, flatChunk+8*replayBlockSize)
+	buf = le.AppendUint32(buf, traceMagic)
+	buf = le.AppendUint32(buf, uint32(meta.HomeLineSize))
+	buf = le.AppendUint64(buf, uint64(len(homes)))
+	for _, h := range homes {
+		buf = le.AppendUint32(buf, uint32(h))
+	}
+	buf = le.AppendUint64(buf, uint64(meta.Len()))
 	var n int64
-	write := func(v any) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
+	flush := func() error {
+		k, err := w.Write(buf)
+		n += int64(k)
+		buf = buf[:0]
+		return err
+	}
+	err := src.blocks(func(events []uint64) error {
+		for _, e := range events {
+			buf = le.AppendUint64(buf, e)
 		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(uint32(traceMagic)); err != nil {
+		if len(buf) < flatChunk {
+			return nil
+		}
+		return flush()
+	})
+	if err != nil {
 		return n, err
 	}
-	if err := write(uint32(t.homeLineSize)); err != nil {
-		return n, err
+	return n, flush()
+}
+
+// WriteTo serializes the trace in the flat v1 format. It implements
+// io.WriterTo. WriteV2 produces the compact columnar container that
+// tools store; ReadTrace accepts both.
+func (t *Trace) WriteTo(w io.Writer) (int64, error) { return writeFlat(w, t) }
+
+// TraceDigest returns the hex SHA-256 of the stream's flat v1 bytes.
+// The digest depends only on the home map and the event sequence, so an
+// in-memory Trace, a TraceFile over its v2 container and either one's
+// epoch window agree whenever their events do — replay results keyed
+// by it survive format conversion.
+func TraceDigest(src TraceSource) (string, error) {
+	h := sha256.New()
+	if _, err := writeFlat(h, src); err != nil {
+		return "", err
 	}
-	if err := write(uint64(len(t.homes))); err != nil {
-		return n, err
-	}
-	if err := write(t.homes); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(t.events))); err != nil {
-		return n, err
-	}
-	if err := write(t.events); err != nil {
-		return n, err
-	}
-	return n, nil
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // maxHomeLineSize bounds the recorded home-map granularity a trace file
@@ -668,10 +654,12 @@ func readChunked[T any](r io.Reader, n uint64, what string) ([]T, error) {
 	return out, nil
 }
 
-// ReadTrace deserializes a trace written by WriteTo or WriteV2, sniffing
-// the version from the magic. The input is treated as untrusted:
-// truncated or corrupt files yield a descriptive error, never a panic or
-// an unbounded allocation.
+// ReadTrace deserializes a flat v1 trace or a v2 container, sniffing the
+// version from the magic. A v2 container is read into memory and decoded
+// by the same block decoder that streams a TraceFile, then its index
+// footer summary is checked against the full decode. The input is
+// treated as untrusted: truncated or corrupt files yield a descriptive
+// error, never a panic or an unbounded allocation.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	var magic uint32
 	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
@@ -681,12 +669,23 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	case traceMagic:
 		return readTraceV1(r)
 	case traceMagicV2:
-		return readTraceV2(r)
+		head := binary.LittleEndian.AppendUint32(nil, magic)
+		data, err := io.ReadAll(io.MultiReader(bytes.NewReader(head), r))
+		if err != nil {
+			return nil, fmt.Errorf("memsys: reading trace: %w", err)
+		}
+		tf, err := NewTraceFile(bytes.NewReader(data), int64(len(data)), nil)
+		if err != nil {
+			return nil, err
+		}
+		return tf.decodeAll()
 	}
 	return nil, fmt.Errorf("memsys: bad trace magic %#x (want %#x or %#x)", magic, traceMagic, traceMagicV2)
 }
 
-// readTraceV1 decodes the flat v1 body following the magic.
+// readTraceV1 decodes the flat v1 body following the magic. Flat files
+// carry no epoch stamps, so the run structure is derived from the
+// events.
 func readTraceV1(r io.Reader) (*Trace, error) {
 	var lineSize uint32
 	if err := binary.Read(r, binary.LittleEndian, &lineSize); err != nil {
@@ -711,7 +710,30 @@ func readTraceV1(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Trace{homeLineSize: int(lineSize), homes: homes, events: events}, nil
+	return &Trace{homeLineSize: int(lineSize), homes: homes, events: events, spans: deriveSpans(events)}, nil
+}
+
+// deriveSpans reconstructs the (epoch, proc) run structure of a flat
+// event stream recorded without epoch stamps (a v1 file): runs break at
+// processor changes, and reset markers open a new era numbered like the
+// recorder does — the marker sorts with the epoch that follows it.
+func deriveSpans(events []uint64) []traceSpan {
+	var spans []traceSpan
+	var era uint64
+	for _, e := range events {
+		if e == resetMarker {
+			era++
+			spans = append(spans, traceSpan{epoch: era, proc: spanMarker, n: 1})
+			continue
+		}
+		p := int(e >> 1 & 0x7f)
+		if k := len(spans) - 1; k >= 0 && spans[k].proc == p && spans[k].epoch == era {
+			spans[k].n++
+		} else {
+			spans = append(spans, traceSpan{epoch: era, proc: p, n: 1})
+		}
+	}
+	return spans
 }
 
 // MaxProc returns the highest processor id appearing in the trace.

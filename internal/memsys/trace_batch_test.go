@@ -10,10 +10,11 @@ import (
 // (the reset marker) and negatives panic, and the panic message agrees
 // with the enforced limit.
 func TestRecorderProcLimit(t *testing.T) {
-	rec := NewRecorder(64)
-	rec.Record(0, 8, false)
-	rec.Record(126, 16, true) // highest legal id
-	if got := rec.Finish(nil).MaxProc(); got != 126 {
+	tr := recordInOrder([]uint64{
+		traceEvent(0, 8, false),
+		traceEvent(126, 16, true), // highest legal id
+	}, nil)
+	if got := tr.MaxProc(); got != 126 {
 		t.Fatalf("MaxProc=%d, want 126", got)
 	}
 	for _, proc := range []int{127, 128, -1} {
@@ -32,7 +33,7 @@ func TestRecorderProcLimit(t *testing.T) {
 					t.Fatalf("panic message %q does not state the real limit", msg)
 				}
 			}()
-			NewRecorder(64).Record(proc, 0, false)
+			NewRecorder(64).RecordBatch(proc, 0, []uint64{0})
 		}()
 	}
 }
@@ -120,20 +121,6 @@ func TestRecordBatchSameEpochRunsKeepOrder(t *testing.T) {
 			t.Fatalf("event %d = %#x, want %#x", i, tr.events[i], want[i])
 		}
 	}
-}
-
-// Mixing the serialized and batched capture paths is a programming error
-// and must fail loudly at Finish, not silently interleave.
-func TestRecorderMixedPathsPanic(t *testing.T) {
-	rec := NewRecorder(64)
-	rec.Record(0, 8, false)
-	rec.RecordBatch(1, 1, []uint64{traceEvent(1, 16, false)})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for mixed Record/RecordBatch use")
-		}
-	}()
-	rec.Finish(nil)
 }
 
 // AccessBatch must produce exactly the statistics of per-event AccessAt

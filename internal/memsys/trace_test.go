@@ -4,21 +4,43 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// recordInOrder records packed events (traceEvent, or resetMarker for
+// a measurement reset) through the recorder's batched capture path in
+// exactly the given order: each event gets its own synchronization
+// epoch, so the deterministic merge cannot reorder them. It panics if
+// the merged trace is not the given sequence.
+func recordInOrder(events []uint64, homes []int32) *Trace {
+	rec := NewRecorder(64)
+	for i, e := range events {
+		if e == resetMarker {
+			rec.RecordResetAt(uint64(i))
+		} else {
+			rec.RecordBatch(int(e>>1&0x7f), uint64(i), []uint64{e})
+		}
+	}
+	tr := rec.Finish(homes)
+	if !slices.Equal(tr.events, events) {
+		panic("recordInOrder: merged trace differs from the recorded event sequence")
+	}
+	return tr
+}
+
 func buildTrace(seed int64, procs, events int) *Trace {
 	rng := rand.New(rand.NewSource(seed))
-	rec := NewRecorder(64)
+	var evs []uint64
 	for i := 0; i < events; i++ {
-		rec.Record(rng.Intn(procs), Addr(rng.Intn(4096))&^7, rng.Intn(3) == 0)
+		evs = append(evs, traceEvent(rng.Intn(procs), Addr(rng.Intn(4096))&^7, rng.Intn(3) == 0))
 	}
 	homes := make([]int32, 64)
 	for i := range homes {
 		homes[i] = int32(i % procs)
 	}
-	return rec.Finish(homes)
+	return recordInOrder(evs, homes)
 }
 
 func TestTraceRoundTripSerialization(t *testing.T) {
@@ -65,7 +87,7 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		const procs = 4
 		rng := rand.New(rand.NewSource(seed))
-		rec := NewRecorder(64)
+		var evs []uint64
 		homes := make([]int32, 64)
 		for i := range homes {
 			homes[i] = int32(i % procs)
@@ -85,13 +107,13 @@ func TestReplayEquivalenceProperty(t *testing.T) {
 			a := Addr(rng.Intn(64*48)) &^ 7
 			w := rng.Intn(3) == 0
 			direct.Access(p, a, w)
-			rec.Record(p, a, w)
+			evs = append(evs, traceEvent(p, a, w))
 			if i == 600 {
 				direct.ResetStats()
-				rec.RecordReset()
+				evs = append(evs, resetMarker)
 			}
 		}
-		tr := rec.Finish(homes)
+		tr := recordInOrder(evs, homes)
 		replayed, err := Replay(tr, cfg)
 		if err != nil {
 			return false
@@ -187,10 +209,7 @@ func TestReplayRejectsTooFewProcs(t *testing.T) {
 }
 
 func TestTraceMaxProcSkipsMarkers(t *testing.T) {
-	rec := NewRecorder(64)
-	rec.Record(3, 0, false)
-	rec.RecordReset()
-	tr := rec.Finish(nil)
+	tr := recordInOrder([]uint64{traceEvent(3, 0, false), resetMarker}, nil)
 	if got := tr.MaxProc(); got != 3 {
 		t.Fatalf("MaxProc=%d, want 3", got)
 	}
@@ -202,5 +221,5 @@ func TestRecorderRejectsHugeProcIDs(t *testing.T) {
 			t.Fatal("no panic for proc 127")
 		}
 	}()
-	NewRecorder(64).Record(127, 0, false)
+	NewRecorder(64).RecordBatch(127, 0, []uint64{resetMarker})
 }

@@ -41,8 +41,8 @@ func v2Layout(t testing.TB, good []byte) (index []BlockInfo, footerOff int64) {
 	return tf.Index(), tf.footerOff
 }
 
-// TestReadTraceV2CorruptInputs mirrors the v1 corruption table for the
-// sequential v2 decoder: every mutation must yield a descriptive error
+// TestReadTraceV2CorruptInputs mirrors the v1 corruption table for
+// ReadTrace's v2 decode: every mutation must yield a descriptive error
 // — never a panic, never an allocation the file's bytes don't back.
 func TestReadTraceV2CorruptInputs(t *testing.T) {
 	good := hardeningTraceV2(t)
@@ -104,7 +104,13 @@ func TestReadTraceV2CorruptInputs(t *testing.T) {
 		{"bad index magic", corrupt(func(b []byte) {
 			b[len(b)-1] ^= 0xff
 		}), "index magic"},
-		{"truncated trailer", good[:len(good)-4], "trailer"},
+		// Cutting the trailer short shifts its last four bytes off the
+		// end, so a reader seeking the fixed-size trailer meets a bad
+		// index magic.
+		{"truncated trailer", good[:len(good)-4], "index magic"},
+		// NewTraceFile accepts an overstated bound by design (checking it
+		// would take a full decode); ReadTrace decodes everything anyway.
+		{"footer overstates max address", overstateMaxAddr(t, good, footerOff), "disagrees with blocks"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +132,26 @@ func TestReadTraceV2CorruptInputs(t *testing.T) {
 	if tr.Len() != 5 || tr.homeLineSize != 64 || len(tr.homes) != 4 {
 		t.Fatalf("round-trip mismatch: len=%d lineSize=%d homes=%d", tr.Len(), tr.homeLineSize, len(tr.homes))
 	}
+}
+
+// overstateMaxAddr re-encodes the container's index footer with a
+// maximum address one line beyond what its blocks hold — a footer every
+// block-level check accepts.
+func overstateMaxAddr(t *testing.T, good []byte, footerOff int64) []byte {
+	t.Helper()
+	foot, err := parseV2Footer(bytes.NewReader(good[footerOff : len(good)-12]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := TraceMeta{MaxProc: foot.nprocs - 1, MaxAddr: foot.maxAddr + 64, Refs: foot.refs, Markers: foot.markers, ProcRefs: foot.procRefs}
+	out := append([]byte(nil), good[:footerOff]...)
+	out = appendV2Footer(out, foot.firstBlockOff, m, foot.blocks)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(out))-uint64(footerOff))
+	out = binary.LittleEndian.AppendUint32(out, traceIndexMagic)
+	if _, err := NewTraceFile(bytes.NewReader(out), int64(len(out)), nil); err != nil {
+		t.Fatalf("re-encoded container rejected at open: %v", err)
+	}
+	return out
 }
 
 // TestTraceFileCorruptInputs drills the open path: NewTraceFile trusts
@@ -266,9 +292,9 @@ func TestTraceFileCorruptBlocks(t *testing.T) {
 	}
 }
 
-// FuzzReadTraceV2 throws arbitrary bytes at both v2 decoders: they must
-// agree on acceptance, never panic, and any accepted container must
-// re-serialize to an equivalent stream.
+// FuzzReadTraceV2 throws arbitrary bytes at ReadTrace and the streaming
+// TraceFile: neither may panic, a container ReadTrace accepts must
+// stream identically, and it must re-serialize to an equivalent stream.
 func FuzzReadTraceV2(f *testing.F) {
 	good := hardeningTraceV2(f)
 	f.Add(good)
@@ -282,8 +308,8 @@ func FuzzReadTraceV2(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
-			// The sequential decoder verifies the footer summary against
-			// a full decode; the random-access reader by design cannot
+			// ReadTrace verifies the footer summary against a full
+			// decode; the random-access reader by design cannot
 			// (that would defeat random access), so it may stream a
 			// container whose footer merely overstates a bound. It must
 			// still never panic, and anything it streams must match the
@@ -316,17 +342,17 @@ func FuzzReadTraceV2(f *testing.F) {
 		if !bytes.Equal(eventWords(tr2), eventWords(tr)) {
 			t.Fatal("v2 round trip changed the event stream")
 		}
-		// The random-access reader must agree with the sequential one.
+		// The streaming reader must agree with the full decode.
 		tf, ferr := NewTraceFile(bytes.NewReader(data), int64(len(data)), nil)
 		if ferr != nil {
-			t.Fatalf("sequential decode accepted but TraceFile rejected: %v", ferr)
+			t.Fatalf("ReadTrace accepted but TraceFile rejected: %v", ferr)
 		}
 		var streamed []uint64
 		if err := tf.blocks(func(ev []uint64) error {
 			streamed = append(streamed, ev...)
 			return nil
 		}); err != nil {
-			t.Fatalf("sequential decode accepted but streaming failed: %v", err)
+			t.Fatalf("ReadTrace accepted but streaming failed: %v", err)
 		}
 		if !bytes.Equal(u64Bytes(streamed), u64Bytes(tr.events)) {
 			t.Fatal("TraceFile streams a different event sequence")

@@ -2,6 +2,9 @@ package memsys
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -62,20 +65,9 @@ func buildBatchedTrace(seed int64, procs, events, epochs int) *Trace {
 	return rec.Finish(homes)
 }
 
-// wantSpans is the span structure a decoder must reconstruct: the
-// recorded spans when the batched path supplied them, else the derived
-// runs of the flat stream.
-func wantSpans(tr *Trace) []traceSpan {
-	if tr.spans != nil {
-		return tr.spans
-	}
-	return deriveSpans(tr.events)
-}
-
 // TestWriteV2RoundTrip: encode → decode must reproduce the event
-// stream, home map, span structure and cached meta exactly — for both
-// the batched-path trace (spans recorded) and the serialized-path trace
-// (spans derived).
+// stream, home map, span structure and cached meta exactly — for
+// recorder-shaped runs and for one epoch per event.
 func TestWriteV2RoundTrip(t *testing.T) {
 	traces := []*Trace{
 		buildBatchedTrace(11, 4, 24000, 3), // runs > v2BlockCap: blocks split
@@ -96,35 +88,48 @@ func TestWriteV2RoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(tr.Meta(), back.Meta()) {
 			t.Fatalf("trace %d: v2 round trip changed the meta:\n got %+v\nwant %+v", i, back.Meta(), tr.Meta())
 		}
-		if !reflect.DeepEqual(wantSpans(tr), back.spans) {
+		if !reflect.DeepEqual(tr.spans, back.spans) {
 			t.Fatalf("trace %d: v2 round trip changed the span structure", i)
 		}
 	}
 }
 
 // TestWriteV2RoundTripProperty extends the round trip over random
-// traces, including the flat path (spans derived, not recorded) and a
-// second v2 generation: v2 → v1 → v2 must be byte-identical.
+// traces read back from flat v1 bytes (spans derived, not recorded),
+// and a second v2 generation: v1 → v2 must keep the v1 bytes, and
+// v2 → v1 → v2 must be byte-identical.
 func TestWriteV2RoundTripProperty(t *testing.T) {
 	f := func(seed int64, resets bool) bool {
-		tr := buildSharingTrace(seed, 4, 3000, resets)
+		var v1 bytes.Buffer
+		if _, err := buildSharingTrace(seed, 4, 3000, resets).WriteTo(&v1); err != nil {
+			t.Log(err)
+			return false
+		}
+		tr, err := ReadTrace(bytes.NewReader(v1.Bytes()))
+		if err != nil {
+			t.Log(err)
+			return false
+		}
 		v2 := writeV2Bytes(t, tr)
 		back, err := ReadTrace(bytes.NewReader(v2))
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		if !reflect.DeepEqual(tr.events, back.events) {
+		if !reflect.DeepEqual(tr.events, back.events) || !reflect.DeepEqual(tr.spans, back.spans) {
 			return false
 		}
-		// Strip to a flat stream (v1 bytes) and regenerate: the derived
-		// spans must reproduce the container byte for byte.
-		var v1 bytes.Buffer
-		if _, err := back.WriteTo(&v1); err != nil {
+		// Strip to a flat stream again and regenerate: the derived spans
+		// must reproduce the container byte for byte.
+		var again bytes.Buffer
+		if _, err := back.WriteTo(&again); err != nil {
 			t.Log(err)
 			return false
 		}
-		flat, err := ReadTrace(bytes.NewReader(v1.Bytes()))
+		if !bytes.Equal(again.Bytes(), v1.Bytes()) {
+			return false
+		}
+		flat, err := ReadTrace(bytes.NewReader(again.Bytes()))
 		if err != nil {
 			t.Log(err)
 			return false
@@ -206,6 +211,42 @@ func TestTraceFileMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestTraceDigestPinsFlatBytes: replay cache keys hash the flat v1
+// bytes — magic, home line size, home count, homes, event count, events,
+// all little-endian — so the digest must equal SHA-256 of that layout
+// (encoded here independently of the package's writer) for the
+// in-memory trace and for a TraceFile over its v2 container alike.
+// Keys of replays cached by earlier builds stay valid only while this
+// holds.
+func TestTraceDigestPinsFlatBytes(t *testing.T) {
+	tr := buildBatchedTrace(4, 4, 30000, 3)
+	var ref bytes.Buffer
+	for _, v := range []any{uint32(0x53504c32), uint32(tr.homeLineSize), uint64(len(tr.homes)), tr.homes, uint64(len(tr.events)), tr.events} {
+		if err := binary.Write(&ref, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var flat bytes.Buffer
+	if _, err := tr.WriteTo(&flat); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(flat.Bytes(), ref.Bytes()) {
+		t.Fatal("WriteTo bytes differ from the flat v1 layout")
+	}
+	sum := sha256.Sum256(ref.Bytes())
+	want := hex.EncodeToString(sum[:])
+	tf := openV2(t, writeV2Bytes(t, tr))
+	for name, src := range map[string]TraceSource{"trace": tr, "file": tf} {
+		got, err := TraceDigest(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s digest %s, want SHA-256 of the flat bytes %s", name, got, want)
+		}
+	}
+}
+
 // TestTraceFileDecodeBlockIndependence: decoding every block by index —
 // no sequential pass — must reassemble the exact event stream, and the
 // index must agree with the blocks.
@@ -239,53 +280,6 @@ func TestTraceFileDecodeBlockIndependence(t *testing.T) {
 	}
 	if _, err := tf.DecodeBlock(-1); err == nil {
 		t.Fatal("negative block index accepted")
-	}
-}
-
-// TestTraceFileWindow: a (proc, epoch) window must hold exactly that
-// processor's references from those epochs, in stream order.
-func TestTraceFileWindow(t *testing.T) {
-	rec := NewRecorder(64)
-	// Epoch 0: procs 0 and 1; epoch 1 (after the marker): procs 0 and 2.
-	rec.Record(0, 0x100, false)
-	rec.Record(1, 0x200, true)
-	rec.Record(0, 0x140, false)
-	rec.RecordReset()
-	rec.Record(2, 0x300, false)
-	rec.Record(0, 0x180, true)
-	tr := rec.Finish([]int32{0, 1, 2, 3})
-	tf := openV2(t, writeV2Bytes(t, tr))
-
-	cases := []struct {
-		proc      int
-		lo, hi    uint64
-		wantAddrs []Addr
-	}{
-		{proc: 0, lo: 0, hi: ^uint64(0), wantAddrs: []Addr{0x100, 0x140, 0x180}},
-		{proc: 0, lo: 0, hi: 0, wantAddrs: []Addr{0x100, 0x140}},
-		{proc: 0, lo: 1, hi: 1, wantAddrs: []Addr{0x180}},
-		{proc: 1, lo: 0, hi: ^uint64(0), wantAddrs: []Addr{0x200}},
-		{proc: 2, lo: 0, hi: 0, wantAddrs: nil},
-		{proc: 3, lo: 0, hi: ^uint64(0), wantAddrs: nil},
-	}
-	for _, tc := range cases {
-		w, err := tf.Window(tc.proc, tc.lo, tc.hi)
-		if err != nil {
-			t.Fatalf("Window(%d, %d, %d): %v", tc.proc, tc.lo, tc.hi, err)
-		}
-		var got []Addr
-		for _, e := range w.events {
-			if e == resetMarker {
-				t.Fatalf("Window(%d, %d, %d) contains a reset marker", tc.proc, tc.lo, tc.hi)
-			}
-			if p := int(e >> 1 & 0x7f); p != tc.proc {
-				t.Fatalf("Window(%d, %d, %d) contains processor %d", tc.proc, tc.lo, tc.hi, p)
-			}
-			got = append(got, Addr(e>>8))
-		}
-		if !reflect.DeepEqual(got, tc.wantAddrs) {
-			t.Errorf("Window(%d, %d, %d) = %v, want %v", tc.proc, tc.lo, tc.hi, got, tc.wantAddrs)
-		}
 	}
 }
 

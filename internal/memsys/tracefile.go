@@ -1,7 +1,6 @@
 package memsys
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -18,11 +17,11 @@ import (
 // It implements TraceSource, so ReplayMulti and StackDistances stream
 // it block by block with O(block buffer) peak memory — a multi-gigabyte
 // paper-scale trace replays without ever materializing the stream. The
-// footer also enables random access: DecodeBlock and Window decode any
-// (processor, epoch) region without touching the prefix.
+// footer also enables random access: DecodeBlock decodes any block and
+// EpochWindow any epoch range without touching the prefix.
 //
 // A TraceFile is safe for concurrent readers of distinct blocks
-// (DecodeBlock and Window allocate their own buffers; the underlying
+// (DecodeBlock allocates its own buffers; the underlying
 // ReaderAt must be concurrency-safe, as *os.File is); the streaming
 // blocks pass reuses one buffer and is single-consumer like any
 // TraceSource.
@@ -91,7 +90,7 @@ func NewTraceFile(r io.ReaderAt, size int64, inj *fault.Injector) (*TraceFile, e
 	// Smallest legal file: 16-byte header, end tag, 7-byte empty footer,
 	// 12-byte trailer.
 	if size < 16+1+7+12 {
-		return nil, fmt.Errorf("memsys: trace truncated: %d bytes is smaller than an empty v2 container", size)
+		return nil, fmt.Errorf("memsys: trace truncated: %d bytes is smaller than an empty v2 container (header, end tag, footer, trailer)", size)
 	}
 	hr := inj.Reader("trace.read", io.NewSectionReader(r, 0, size))
 	var fixed [16]byte
@@ -211,6 +210,8 @@ func (tf *TraceFile) HomeFn(lineSize int) HomeFn {
 	return homeFn(tf.homes, tf.homeLineSize, lineSize)
 }
 
+func (tf *TraceFile) homeMap() []int32 { return tf.homes }
+
 // Index returns the block index (a copy).
 func (tf *TraceFile) Index() []BlockInfo {
 	return append([]BlockInfo(nil), tf.index...)
@@ -238,6 +239,9 @@ func (tf *TraceFile) decodeBlockInto(i int, raw []byte, dst []uint64) (events []
 	if err != nil {
 		return dst, raw, fmt.Errorf("memsys: trace truncated reading block %d tag: %w", i, err)
 	}
+	if tag != v2TagEvents && tag != v2TagMarker {
+		return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d has unknown block tag %d", i, tag)
+	}
 	if info.Marker {
 		if tag != v2TagMarker {
 			return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d has tag %d, index footer says marker", i, tag)
@@ -257,7 +261,7 @@ func (tf *TraceFile) decodeBlockInto(i int, raw []byte, dst []uint64) (events []
 	if tag != v2TagEvents {
 		return dst, raw, fmt.Errorf("memsys: corrupt trace: block %d has tag %d, index footer says events", i, tag)
 	}
-	proc, epoch, count, payloadLen, err := readV2EventsHeader(br, 0)
+	proc, epoch, count, payloadLen, err := readV2EventsHeader(br)
 	if err != nil {
 		return dst, raw, err
 	}
@@ -289,72 +293,51 @@ func (tf *TraceFile) DecodeBlock(i int) ([]uint64, error) {
 	return events, err
 }
 
-// Window extracts one processor's references within an epoch range
-// [epochLo, epochHi] as a fresh in-memory Trace (same home map), using
-// the index footer to decode only the matching blocks — random access
-// with no prefix decode. Reset markers are not included.
-func (tf *TraceFile) Window(proc int, epochLo, epochHi uint64) (*Trace, error) {
-	out := &Trace{homeLineSize: tf.homeLineSize, homes: append([]int32(nil), tf.homes...)}
+// WriteTo serializes the stream in flat v1 format, block by block —
+// the byte-identical output of the equivalent in-memory Trace.WriteTo,
+// with O(block buffer) peak memory.
+func (tf *TraceFile) WriteTo(w io.Writer) (int64, error) { return writeFlat(w, tf) }
+
+// decodeAll decodes every block into an in-memory Trace and checks the
+// index footer's stream summary against the decoded events. Block-level
+// checks cannot catch a footer that overstates a bound or misattributes
+// references between processors; a full decode can, so ReadTrace
+// rejects what a streaming TraceFile by design cannot.
+func (tf *TraceFile) decodeAll() (*Trace, error) {
+	// Every event costs at least one payload byte, so the file size
+	// bounds a trustworthy capacity hint where the footer's count may lie.
+	capHint := tf.Len()
+	if int64(capHint) > tf.size {
+		capHint = int(tf.size)
+	}
+	tr := &Trace{homeLineSize: tf.homeLineSize, homes: tf.homes, events: make([]uint64, 0, capHint)}
 	var raw []byte
-	for i := range tf.index {
-		info := tf.index[i]
-		if info.Marker || info.Proc != proc || info.Epoch < epochLo || info.Epoch > epochHi {
-			continue
-		}
+	for i, info := range tf.index {
 		var err error
-		out.events, raw, err = tf.decodeBlockInto(i, raw, out.events)
-		if err != nil {
+		if tr.events, raw, err = tf.decodeBlockInto(i, raw, tr.events); err != nil {
 			return nil, err
 		}
-		if k := len(out.spans) - 1; k >= 0 && out.spans[k].epoch == info.Epoch {
-			out.spans[k].n += info.Events
-		} else {
-			out.spans = append(out.spans, traceSpan{epoch: info.Epoch, proc: proc, n: info.Events})
+		if k := len(tr.spans) - 1; !info.Marker && k >= 0 && tr.spans[k].proc == info.Proc && tr.spans[k].epoch == info.Epoch {
+			tr.spans[k].n += info.Events
+			continue
+		}
+		proc := info.Proc
+		if info.Marker {
+			proc = spanMarker
+		}
+		tr.spans = append(tr.spans, traceSpan{epoch: info.Epoch, proc: proc, n: info.Events})
+	}
+	foot, got := tf.meta, tr.Meta()
+	if len(foot.ProcRefs) != len(got.ProcRefs) || foot.MaxAddr != got.MaxAddr || foot.Refs != got.Refs || foot.Markers != got.Markers {
+		return nil, fmt.Errorf("memsys: corrupt trace: index footer summary (procs=%d maxAddr=%#x refs=%d markers=%d) disagrees with blocks (procs=%d maxAddr=%#x refs=%d markers=%d)",
+			len(foot.ProcRefs), uint64(foot.MaxAddr), foot.Refs, foot.Markers, len(got.ProcRefs), uint64(got.MaxAddr), got.Refs, got.Markers)
+	}
+	for p, n := range foot.ProcRefs {
+		if n != got.ProcRefs[p] {
+			return nil, fmt.Errorf("memsys: corrupt trace: index footer counts %d references for processor %d, blocks hold %d", n, p, got.ProcRefs[p])
 		}
 	}
-	return out, nil
-}
-
-// WriteTo serializes the stream in flat v1 format, block by block —
-// the byte-identical output of the equivalent in-memory Trace.WriteTo.
-// It makes a TraceFile digestable wherever a result digest or a v2→v1
-// conversion needs the canonical flat bytes, still with O(block
-// buffer) peak memory.
-func (tf *TraceFile) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(uint32(traceMagic)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(tf.homeLineSize)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(tf.homes))); err != nil {
-		return n, err
-	}
-	if err := write(tf.homes); err != nil {
-		return n, err
-	}
-	if err := write(uint64(tf.Len())); err != nil {
-		return n, err
-	}
-	err := tf.blocks(func(events []uint64) error {
-		return write(events)
-	})
-	if err != nil {
-		return n, err
-	}
-	if err := bw.Flush(); err != nil {
-		return n, err
-	}
-	return n, nil
+	return tr, nil
 }
 
 // decodeAhead is the depth of the streaming decode pipeline: how many

@@ -105,30 +105,6 @@ type v2Block struct {
 	size   int64 // encoded bytes, tag included
 }
 
-// deriveSpans reconstructs the (epoch, proc) run structure of a flat
-// event stream that was recorded without epoch stamps (the serialized
-// Record path, or a v1 file): runs break at processor changes, and
-// reset markers open a new era numbered like the batched recorder does
-// — the marker sorts with the epoch that follows it.
-func deriveSpans(events []uint64) []traceSpan {
-	var spans []traceSpan
-	var era uint64
-	for _, e := range events {
-		if e == resetMarker {
-			era++
-			spans = append(spans, traceSpan{epoch: era, proc: spanMarker, n: 1})
-			continue
-		}
-		p := int(e >> 1 & 0x7f)
-		if k := len(spans) - 1; k >= 0 && spans[k].proc == p && spans[k].epoch == era {
-			spans[k].n++
-		} else {
-			spans = append(spans, traceSpan{epoch: era, proc: p, n: 1})
-		}
-	}
-	return spans
-}
-
 // appendV2Events encodes one events block. Addresses delta-encode
 // against the block's own first address only, so the block decodes with
 // no context from its predecessors.
@@ -195,12 +171,10 @@ func appendV2Footer(buf []byte, firstBlockOff int64, m TraceMeta, blocks []v2Blo
 	return buf
 }
 
-// WriteV2 serializes the trace in the columnar v2 container. Traces
-// recorded through the batched path carry their (epoch, proc) run
-// structure from the merge, so the blocks are emitted directly from the
-// already-block-shaped sub-streams; otherwise the runs are derived by
-// one scan. ReadTrace accepts both formats; a v2→v1→v2 round trip is
-// byte-identical.
+// WriteV2 serializes the trace in the columnar v2 container. Every
+// trace carries its (epoch, proc) run structure — from the recorder's
+// merge, the v2 decoder, or the v1 reader's scan — so the blocks are
+// emitted directly from the already-block-shaped runs.
 func (t *Trace) WriteV2(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -217,14 +191,10 @@ func (t *Trace) WriteV2(w io.Writer) (int64, error) {
 	n += int64(len(hdr))
 	firstBlockOff := n
 
-	spans := t.spans
-	if spans == nil {
-		spans = deriveSpans(t.events)
-	}
 	var blocks []v2Block
 	var buf, scratch []byte
 	pos := 0
-	for _, sp := range spans {
+	for _, sp := range t.spans {
 		if sp.proc == spanMarker {
 			buf = append(buf[:0], v2TagMarker)
 			buf = binary.AppendUvarint(buf, sp.epoch)
@@ -327,9 +297,8 @@ func readUvarint(s io.ByteReader, what string) (uint64, error) {
 }
 
 // readV2EventsHeader reads and validates the header fields of an events
-// block (after the tag): proc, epoch, count, payloadLen. Shared by the
-// sequential decoder and TraceFile's per-block decode.
-func readV2EventsHeader(s io.ByteReader, prevEpoch uint64) (proc int, epoch uint64, count, payloadLen int, err error) {
+// block (after the tag): proc, epoch, count, payloadLen.
+func readV2EventsHeader(s io.ByteReader) (proc int, epoch uint64, count, payloadLen int, err error) {
 	b, err := s.ReadByte()
 	if err != nil {
 		return 0, 0, 0, 0, fmt.Errorf("memsys: trace truncated reading block processor: %w", err)
@@ -341,9 +310,6 @@ func readV2EventsHeader(s io.ByteReader, prevEpoch uint64) (proc int, epoch uint
 	epoch, err = readUvarint(s, "block epoch")
 	if err != nil {
 		return 0, 0, 0, 0, err
-	}
-	if epoch < prevEpoch {
-		return 0, 0, 0, 0, fmt.Errorf("memsys: corrupt trace: block epoch %d after epoch %d (must be nondecreasing)", epoch, prevEpoch)
 	}
 	c, err := readUvarint(s, "block event count")
 	if err != nil {
@@ -499,168 +465,4 @@ func parseV2Footer(s io.ByteReader) (v2Footer, error) {
 			events, markers, f.refs, f.markers)
 	}
 	return f, nil
-}
-
-// byteCounter counts bytes consumed from a buffered stream, so the
-// sequential v2 decoder can check the footer's claimed block sizes
-// against what it actually read.
-type byteCounter struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (c *byteCounter) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-func (c *byteCounter) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readTraceV2 decodes the v2 body following the magic (sequential,
-// whole-trace; see TraceFile for out-of-core streaming). The input is
-// untrusted: every header field is bounds-checked before allocation,
-// and the index footer must agree with the blocks actually decoded.
-func readTraceV2(r io.Reader) (*Trace, error) {
-	c := &byteCounter{br: bufio.NewReader(r), n: 4} // magic already consumed
-
-	var fixed [12]byte
-	if _, err := io.ReadFull(c, fixed[:]); err != nil {
-		return nil, fmt.Errorf("memsys: trace truncated reading header: %w", err)
-	}
-	lineSize := binary.LittleEndian.Uint32(fixed[0:4])
-	if lineSize == 0 || lineSize > maxHomeLineSize {
-		return nil, fmt.Errorf("memsys: corrupt trace: home line size %d out of range (1..%d)", lineSize, maxHomeLineSize)
-	}
-	nh := binary.LittleEndian.Uint64(fixed[4:12])
-	homes, err := readChunked[int32](c, nh, "home map")
-	if err != nil {
-		return nil, err
-	}
-	firstBlockOff := c.n
-
-	var events []uint64
-	var spans []traceSpan
-	var blocks []v2Block
-	var payload []byte
-	var procRefs [maxTraceProcs]uint64
-	meta := TraceMeta{HomeLineSize: int(lineSize)}
-	var prevEpoch uint64
-	for {
-		start := c.n
-		tag, err := c.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("memsys: trace truncated reading block tag: %w", err)
-		}
-		if tag == v2TagEnd {
-			break
-		}
-		switch tag {
-		case v2TagEvents:
-			proc, epoch, count, payloadLen, err := readV2EventsHeader(c, prevEpoch)
-			if err != nil {
-				return nil, err
-			}
-			prevEpoch = epoch
-			if cap(payload) < payloadLen {
-				payload = make([]byte, payloadLen)
-			}
-			buf := payload[:payloadLen]
-			if _, err := io.ReadFull(c, buf); err != nil {
-				return nil, fmt.Errorf("memsys: trace truncated reading block payload (%d bytes wanted): %w", payloadLen, err)
-			}
-			var maxA Addr
-			events, maxA, err = decodeV2Payload(buf, proc, count, events)
-			if err != nil {
-				return nil, err
-			}
-			if maxA > meta.MaxAddr {
-				meta.MaxAddr = maxA
-			}
-			if proc > meta.MaxProc {
-				meta.MaxProc = proc
-			}
-			meta.Refs += uint64(count)
-			procRefs[proc] += uint64(count)
-			if k := len(spans) - 1; k >= 0 && spans[k].proc == proc && spans[k].epoch == epoch {
-				spans[k].n += count
-			} else {
-				spans = append(spans, traceSpan{epoch: epoch, proc: proc, n: count})
-			}
-			blocks = append(blocks, v2Block{proc: proc, epoch: epoch, events: count, size: c.n - start})
-		case v2TagMarker:
-			epoch, err := readUvarint(c, "marker epoch")
-			if err != nil {
-				return nil, err
-			}
-			if epoch < prevEpoch {
-				return nil, fmt.Errorf("memsys: corrupt trace: marker epoch %d after epoch %d (must be nondecreasing)", epoch, prevEpoch)
-			}
-			prevEpoch = epoch
-			events = append(events, resetMarker)
-			meta.Markers++
-			spans = append(spans, traceSpan{epoch: epoch, proc: spanMarker, n: 1})
-			blocks = append(blocks, v2Block{marker: true, epoch: epoch, events: 1, size: c.n - start})
-		default:
-			return nil, fmt.Errorf("memsys: corrupt trace: unknown block tag %d", tag)
-		}
-	}
-
-	f, err := parseV2Footer(c)
-	if err != nil {
-		return nil, err
-	}
-	footerLen := c.n - firstBlockOff
-	for _, b := range blocks {
-		footerLen -= b.size
-	}
-	footerLen-- // end tag
-	if f.firstBlockOff != firstBlockOff {
-		return nil, fmt.Errorf("memsys: corrupt trace: index footer says blocks start at %d, header ends at %d", f.firstBlockOff, firstBlockOff)
-	}
-	wantProcs := 0
-	if meta.Refs > 0 {
-		wantProcs = meta.MaxProc + 1
-	}
-	if f.nprocs != wantProcs || f.maxAddr != meta.MaxAddr || f.refs != meta.Refs || f.markers != meta.Markers {
-		return nil, fmt.Errorf("memsys: corrupt trace: index footer summary (procs=%d maxAddr=%#x refs=%d markers=%d) disagrees with blocks (procs=%d maxAddr=%#x refs=%d markers=%d)",
-			f.nprocs, uint64(f.maxAddr), f.refs, f.markers, wantProcs, uint64(meta.MaxAddr), meta.Refs, meta.Markers)
-	}
-	for p := 0; p < f.nprocs; p++ {
-		if f.procRefs[p] != procRefs[p] {
-			return nil, fmt.Errorf("memsys: corrupt trace: index footer counts %d references for processor %d, blocks hold %d", f.procRefs[p], p, procRefs[p])
-		}
-	}
-	if len(f.blocks) != len(blocks) {
-		return nil, fmt.Errorf("memsys: corrupt trace: index footer lists %d blocks, file holds %d", len(f.blocks), len(blocks))
-	}
-	for i, b := range blocks {
-		if f.blocks[i] != b {
-			return nil, fmt.Errorf("memsys: corrupt trace: index footer entry %d %+v disagrees with block %+v", i, f.blocks[i], b)
-		}
-	}
-	var trailer [12]byte
-	if _, err := io.ReadFull(c, trailer[:]); err != nil {
-		return nil, fmt.Errorf("memsys: trace truncated reading trailer: %w", err)
-	}
-	if got := binary.LittleEndian.Uint64(trailer[0:8]); got != uint64(footerLen) {
-		return nil, fmt.Errorf("memsys: corrupt trace: trailer footer length %d, footer occupies %d bytes", got, footerLen)
-	}
-	if got := binary.LittleEndian.Uint32(trailer[8:12]); got != traceIndexMagic {
-		return nil, fmt.Errorf("memsys: corrupt trace: bad index magic %#x (want %#x)", got, traceIndexMagic)
-	}
-
-	if meta.Refs > 0 {
-		meta.ProcRefs = append([]uint64(nil), procRefs[:meta.MaxProc+1]...)
-	}
-	meta.MinProcs = minProcs(meta.MaxProc, homes)
-	tr := &Trace{homeLineSize: int(lineSize), homes: homes, events: events, spans: spans}
-	tr.metaOnce.Do(func() { tr.meta = meta })
-	return tr, nil
 }

@@ -7,11 +7,8 @@ import "fmt"
 // TraceFile view selects blocks through the index footer, so
 // out-of-range blocks are never read or decoded — a sub-window replay
 // costs I/O proportional to the window, not the trace. An in-memory
-// Trace view selects event ranges by span (or, for traces recorded
-// through the single-event path, by counting reset markers, which
-// define the epochs the v2 writer would stamp). Reset markers are not
-// part of the view: the window is one measurement era, like
-// TraceFile.Window.
+// Trace view selects event ranges by span. Reset markers are not part
+// of the view: the window is one measurement era.
 func EpochWindow(src TraceSource, lo, hi uint64) (TraceSource, error) {
 	if lo > hi {
 		return nil, fmt.Errorf("memsys: epoch window [%d, %d] is empty", lo, hi)
@@ -75,6 +72,7 @@ type windowedFile struct {
 
 func (w *windowedFile) Meta() TraceMeta            { return w.meta }
 func (w *windowedFile) HomeFn(lineSize int) HomeFn { return w.tf.HomeFn(lineSize) }
+func (w *windowedFile) homeMap() []int32           { return w.tf.homes }
 
 func (w *windowedFile) blocks(yield func(events []uint64) error) error {
 	var raw []byte
@@ -106,6 +104,7 @@ type windowedTrace struct {
 
 func (w *windowedTrace) Meta() TraceMeta            { return w.meta }
 func (w *windowedTrace) HomeFn(lineSize int) HomeFn { return w.tr.HomeFn(lineSize) }
+func (w *windowedTrace) homeMap() []int32           { return w.tr.homes }
 
 func (w *windowedTrace) blocks(yield func(events []uint64) error) error {
 	for _, r := range w.ranges {
@@ -123,43 +122,19 @@ func (w *windowedTrace) blocks(yield func(events []uint64) error) error {
 }
 
 // epochRanges returns the maximal marker-free event index ranges of
-// epochs [lo, hi], in stream order: by span when the run structure is
-// known, else by the reset-marker eras a span scan would discover.
+// epochs [lo, hi], in stream order.
 func (t *Trace) epochRanges(lo, hi uint64) [][2]int {
 	var out [][2]int
-	add := func(a, b int) {
-		if a >= b {
-			return
-		}
-		if k := len(out) - 1; k >= 0 && out[k][1] == a {
-			out[k][1] = b
-			return
-		}
-		out = append(out, [2]int{a, b})
-	}
-	if t.spans != nil {
-		pos := 0
-		for _, sp := range t.spans {
-			if sp.proc != spanMarker && sp.epoch >= lo && sp.epoch <= hi {
-				add(pos, pos+sp.n)
+	pos := 0
+	for _, sp := range t.spans {
+		if sp.proc != spanMarker && sp.epoch >= lo && sp.epoch <= hi {
+			if k := len(out) - 1; k >= 0 && out[k][1] == pos {
+				out[k][1] = pos + sp.n
+			} else {
+				out = append(out, [2]int{pos, pos + sp.n})
 			}
-			pos += sp.n
 		}
-		return out
-	}
-	epoch, start := uint64(0), 0
-	for i, e := range t.events {
-		if e != resetMarker {
-			continue
-		}
-		if epoch >= lo && epoch <= hi {
-			add(start, i)
-		}
-		epoch++
-		start = i + 1
-	}
-	if epoch >= lo && epoch <= hi {
-		add(start, len(t.events))
+		pos += sp.n
 	}
 	return out
 }

@@ -24,11 +24,20 @@ func collectEvents(t *testing.T, src TraceSource) []uint64 {
 
 // TestEpochWindowEquivalence: the in-memory and streaming epoch-window
 // views must yield the identical marker-free event subsequence, with
-// matching metadata, over traces from both recorder paths.
+// matching metadata, over a recorded trace and a v1 file's trace,
+// whose spans number epochs by reset-marker eras.
 func TestEpochWindowEquivalence(t *testing.T) {
+	var v1 bytes.Buffer
+	if _, err := buildSharingTrace(9, 4, 20000, true).WriteTo(&v1); err != nil {
+		t.Fatal(err)
+	}
+	flat, err := ReadTrace(&v1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	traces := map[string]*Trace{
-		"single-event": buildSharingTrace(9, 4, 20000, true), // spans == nil: marker-scan path
-		"batched":      buildBatchedTrace(10, 4, 20000, 4),   // spans != nil: span path
+		"v1 marker eras": flat,
+		"batched":        buildBatchedTrace(10, 4, 20000, 4),
 	}
 	for name, tr := range traces {
 		tf := openV2(t, writeV2Bytes(t, tr))

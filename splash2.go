@@ -135,7 +135,8 @@ type (
 	// TraceMeta is the one-pass stream summary of a TraceSource.
 	TraceMeta = memsys.TraceMeta
 	// TraceFile is an out-of-core v2 trace opened for block streaming
-	// and (proc, epoch) random access (see OpenTraceFile).
+	// and block or epoch-range random access (see OpenTraceFile,
+	// EpochWindow).
 	TraceFile = memsys.TraceFile
 	// MemConfig configures a memory system for trace replay.
 	MemConfig = memsys.Config
