@@ -45,7 +45,7 @@ func TestCrashHelper(t *testing.T) {
 func chaosWorkload(cacheDir string) []string {
 	return []string{
 		"-apps", "fft,lu", "-p", "2", "-plist", "1,2",
-		"-format", "json", "-cache-dir", cacheDir, "-lease-ttl", "2s",
+		"-format", "json", "-cache-dir", cacheDir,
 	}
 }
 

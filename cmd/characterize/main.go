@@ -31,14 +31,15 @@
 //
 //	characterize -resume              # reclaim a crashed run, then re-run (cache hits are the resume)
 //	characterize -deadline 10m        # whole-run deadline; doomed work cancelled promptly
-//	characterize -lease-ttl 10s      # cross-process work-lease expiry (0 disables leases)
 //	characterize -no-journal          # skip the durable run journal
 //
-// Runs that share a cache directory hold per-experiment work leases, so
-// two concurrent processes execute each expensive job once and the loser
-// adopts the winner's stored result. Every run appends a journal under
-// <cache-dir>/journal; after a kill -9, -resume reports what the dead
-// run finished and sweeps its stale leases and temp files.
+// Runs that share a cache directory hold per-experiment work leases
+// (kernel file locks, always on with a cache directory), so two
+// concurrent processes execute each expensive job once and the loser
+// adopts the winner's stored result; a killed holder's lease frees at
+// once. Every run appends a journal under <cache-dir>/journal; after a
+// kill -9, -resume reports what the dead run finished and removes its
+// lease and temp files.
 //
 // Under -keep-going the run completes past failures: lost rows render as
 // FAILED(label: cause) placeholders, the failure manifest summarizes the
@@ -107,9 +108,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
 
-		resume       = fs.Bool("resume", false, "reclaim crashed runs in the cache dir (report dead journals, sweep stale leases/temps) before running")
+		resume       = fs.Bool("resume", false, "reclaim crashed runs in the cache dir (report dead journals, remove dead leases/temps) before running")
 		deadline     = fs.Duration("deadline", 0, "whole-run deadline; doomed work is cancelled promptly (0 = none)")
-		leaseTTL     = fs.Duration("lease-ttl", splash2.DefaultLeaseTTL, "cross-process work-lease expiry; concurrent runs sharing the cache dir coalesce jobs (0 disables)")
 		noJournal    = fs.Bool("no-journal", false, "disable the durable run journal under <cache-dir>/journal")
 		keepGoing    = fs.Bool("keep-going", false, "complete past failed experiments (exit 2, FAILED placeholders)")
 		timeout      = fs.Duration("timeout", 0, "per-experiment attempt timeout (0 = none)")
@@ -132,11 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *sampleRate < 0 || *sampleRate > 1 {
 		fmt.Fprintf(stderr, "characterize: -sample-rate %v out of range (0, 1]\n", *sampleRate)
 		return exitUsage
-	}
-	if *leaseTTL <= 0 {
-		o.LeaseTTL = -1 // user asked for no leases
-	} else {
-		o.LeaseTTL = *leaseTTL
 	}
 	if *appsFlag != "" {
 		o.Apps = strings.Split(*appsFlag, ",")
@@ -175,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "characterize: -resume requires a cache directory")
 			return exitUsage
 		}
-		rep, err := splash2.Resume(o.CacheDir, *leaseTTL)
+		rep, err := splash2.Resume(o.CacheDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "characterize:", err)
 			return exitRuntime

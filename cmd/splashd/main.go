@@ -13,7 +13,6 @@
 //	splashd -max-inflight 4 -max-queue 16 -per-client 8
 //	splashd -timeout 5m -retries 2   # per-experiment fault policy
 //	splashd -drain-timeout 30s       # graceful SIGTERM budget
-//	splashd -lease-ttl 10s           # cross-process work-lease expiry (0 disables)
 //	splashd -no-journal              # skip the durable run journal
 //	splashd -progress                # per-experiment progress on stderr
 //	splashd -fault 'error@2=job:run fft*' -fault-seed 7   # chaos drill
@@ -45,8 +44,9 @@
 // request's content address, so impatient and patient clients coalesce.
 //
 // Daemons sharing a cache directory (or sharing one with characterize
-// runs) hold cross-process work leases, executing each expensive
-// experiment once fleet-wide; every run appends a durable journal under
+// runs) on one host hold cross-process work leases — kernel file locks,
+// always on with a cache directory — executing each expensive
+// experiment once; every run appends a durable journal under
 // <cache-dir>/journal for `characterize -resume` crash forensics.
 //
 // Exit status: 0 — clean shutdown; 1 — usage error; 3 — runtime error.
@@ -92,7 +92,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxQueue    = fs.Int("max-queue", 16, "experiments queued behind the executing ones")
 		perClient   = fs.Int("per-client", 8, "concurrent requests per client")
 
-		leaseTTL  = fs.Duration("lease-ttl", splash2.DefaultLeaseTTL, "cross-process work-lease expiry; concurrent processes sharing the cache dir coalesce jobs (0 disables)")
 		noJournal = fs.Bool("no-journal", false, "disable the durable run journal under <cache-dir>/journal")
 
 		timeout      = fs.Duration("timeout", 0, "per-experiment attempt timeout (0 = none)")
@@ -116,11 +115,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Context: ctx,
 		Timeout: *timeout, Retries: *retries, RetryBackoff: *retryBackoff,
 		NoJournal: *noJournal,
-	}
-	if *leaseTTL <= 0 {
-		eo.LeaseTTL = -1 // user asked for no leases
-	} else {
-		eo.LeaseTTL = *leaseTTL
 	}
 	var err error
 	if eo.ExecMode, err = cli.ParseExecMode(*modeName); err != nil {

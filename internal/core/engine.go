@@ -177,12 +177,6 @@ type EngineOptions struct {
 	// reused across processes after an integrity check.
 	SpillTraces bool
 
-	// LeaseTTL configures cross-process work leases on the cache (on by
-	// default whenever CacheDir is set): 0 selects the default TTL,
-	// negative disables leases. Leases coalesce expensive jobs across
-	// processes sharing one cache directory; a crashed holder's lease
-	// expires after the TTL and is taken over, never deadlocked on.
-	LeaseTTL time.Duration
 	// NoJournal disables the durable run journal. With a cache directory
 	// set, each engine run otherwise appends its job lifecycle to
 	// CacheDir/journal/<runID>.jsonl — the crash-forensics record that
@@ -207,9 +201,7 @@ func NewEngine(o EngineOptions) (*Engine, error) {
 		}
 		cache = c
 		cache.SetFault(o.Fault)
-		if o.LeaseTTL >= 0 {
-			cache.EnableLeases(o.LeaseTTL)
-		}
+		cache.EnableLeases()
 		if !o.NoJournal {
 			j, err := runner.OpenJournal(runner.JournalDir(o.CacheDir))
 			if err != nil {

@@ -64,9 +64,6 @@ type ReportOptions struct {
 	// -spill-traces flag); see EngineOptions.SpillTraces.
 	SpillTraces bool
 
-	// LeaseTTL configures cross-process work leases (see
-	// EngineOptions.LeaseTTL): 0 default, negative disables.
-	LeaseTTL time.Duration
 	// NoJournal disables the durable run journal (see
 	// EngineOptions.NoJournal).
 	NoJournal bool
@@ -88,7 +85,6 @@ func (o ReportOptions) engineOptions() EngineOptions {
 		Fault:        o.Fault,
 		ExecMode:     o.ExecMode,
 		SpillTraces:  o.SpillTraces,
-		LeaseTTL:     o.LeaseTTL,
 		NoJournal:    o.NoJournal,
 		Deadline:     o.Deadline,
 	}

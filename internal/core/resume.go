@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"time"
 
 	"splash2/internal/runner"
 )
@@ -12,8 +11,8 @@ import (
 // Resume: picking up after a crash.
 //
 // A kill -9 mid-sweep leaves three kinds of debris in a cache directory:
-// the dead run's journal (no run.end event), its work leases (mtime
-// frozen at the last heartbeat), and its temp/spill artifacts. Nothing
+// the dead run's journal (no run.end event), its work lease files (their
+// locks died with it) and its temp/spill artifacts. Nothing
 // about the *results* needs repair — every completed experiment was
 // stored atomically before its journal line — so resuming is forensics
 // plus cleanup plus an ordinary re-run: the cache supplies everything
@@ -29,12 +28,11 @@ type ResumeReport struct {
 }
 
 // Resume scans cacheDir for crashed runs, marks their journals resumed,
-// and sweeps their leases, temp files and broken spill pairs. leaseTTL
-// must match the crashed runs' lease configuration (0 selects the
-// default); leases younger than it that belong to live processes are
-// left alone, so resuming next to a healthy sibling daemon is safe.
-// The caller then runs its sweep normally — cache hits are the resume.
-func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
+// and sweeps their leases, temp files and broken spill pairs. A lease
+// whose holder is alive keeps its lock and is left alone, so resuming
+// next to a healthy sibling daemon is safe. The caller then runs its
+// sweep normally — cache hits are the resume.
+func Resume(cacheDir string) (*ResumeReport, error) {
 	if cacheDir == "" {
 		return nil, fmt.Errorf("core: -resume requires a cache directory")
 	}
@@ -52,7 +50,7 @@ func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
 		}
 		rep.DeadRuns = append(rep.DeadRuns, s)
 	}
-	rep.Swept = cache.SweepCrashed(leaseTTL)
+	rep.Swept = cache.SweepCrashed()
 	rep.Swept = append(rep.Swept, sweepSpillOrphans(filepath.Join(cacheDir, "traces"), 0)...)
 	return rep, nil
 }

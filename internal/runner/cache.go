@@ -96,12 +96,10 @@ func (c *Cache) SetFault(inj *fault.Injector) {
 	}
 }
 
-// EnableLeases turns on cross-process work leases (see lease.go) with
-// the given TTL; ttl <= 0 selects DefaultLeaseTTL. Like SetFault it is
-// setup-time configuration.
-func (c *Cache) EnableLeases(ttl time.Duration) {
-	c.ls = newLeases(c.dir, ttl)
-	c.ls.inj = c.inj
+// EnableLeases turns on cross-process work leases (see lease.go). Like
+// SetFault it is setup-time configuration.
+func (c *Cache) EnableLeases() {
+	c.ls = &leases{dir: c.dir, inj: c.inj}
 }
 
 // leaseManager returns the lease manager, or nil when leases are
@@ -119,10 +117,10 @@ func (c *Cache) leaseManager() *leases {
 const staleTmpAge = time.Hour
 
 // sweepStaleTmp deletes temporary files left behind by crashed runs:
-// cache entry temps (".tmp-*"), spill container/sidecar temps
-// ("<key>.tmp*", "<key>.json.tmp*") and lease-reap leftovers
-// (".reap-*"). Real artifacts (.json entries, .sp2t containers and
-// their .sp2t.json sidecars, .lease files, journal .jsonl) never match.
+// cache entry temps (".tmp-*") and spill container/sidecar temps
+// ("<key>.tmp*", "<key>.json.tmp*"). Real artifacts (.json entries,
+// .sp2t containers and their .sp2t.json sidecars, .lease files, journal
+// .jsonl) never match.
 // Best-effort: sweep errors never fail OpenCache.
 func sweepStaleTmp(dir string) {
 	sweepTmp(dir, staleTmpAge)
@@ -136,7 +134,7 @@ func sweepTmp(dir string, age time.Duration) (removed []string) {
 			return nil
 		}
 		name := info.Name()
-		if !strings.Contains(name, ".tmp") && !strings.Contains(name, ".reap-") {
+		if !strings.Contains(name, ".tmp") {
 			return nil
 		}
 		if now.Sub(info.ModTime()) > age {
@@ -150,34 +148,18 @@ func sweepTmp(dir string, age time.Duration) (removed []string) {
 }
 
 // SweepCrashed reclaims artifacts orphaned by dead runs, for an explicit
-// resume: every temp file regardless of age, and every lease that is
-// expired (mtime beyond ttl) or whose recorded owner is a dead process
-// on this host. Live remote owners are untouched — their heartbeat keeps
-// the mtime fresh. Returns the removed paths for the resume report.
-func (c *Cache) SweepCrashed(ttl time.Duration) []string {
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
+// resume: every temp file regardless of age, and every lease whose lock
+// it can take itself — a lease whose holder is gone. A live holder keeps
+// its lock, so its lease is untouched. Returns the removed paths for the
+// resume report.
+func (c *Cache) SweepCrashed() []string {
 	removed := sweepTmp(c.dir, 0)
-	host, _ := os.Hostname()
 	filepath.Walk(c.dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() || !strings.HasSuffix(info.Name(), ".lease") {
 			return nil
 		}
-		stale := time.Since(info.ModTime()) > ttl
-		if !stale {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return nil
-			}
-			var rec leaseRecord
-			if json.Unmarshal(data, &rec) != nil {
-				stale = true // unparsable lease: nobody can release it
-			} else if rec.Host == host && rec.PID > 0 && !pidAlive(rec.PID) {
-				stale = true
-			}
-		}
-		if stale && os.Remove(path) == nil {
+		if f, _, state := lockPath(path, os.O_RDONLY); state == leaseWon {
+			releaseLease(f)
 			removed = append(removed, path)
 		}
 		return nil

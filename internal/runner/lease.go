@@ -2,16 +2,9 @@ package runner
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
-	"syscall"
+	"strconv"
 	"time"
 
 	"splash2/internal/fault"
@@ -19,39 +12,35 @@ import (
 
 // Cross-process work leases.
 //
-// Two processes sharing a cache directory (a splashd fleet, or a daemon
-// plus an operator's ad-hoc characterize run) race to execute the same
-// cold experiments. In-process the singleflight memo deduplicates them;
-// across processes nothing did, so every daemon paid for every cold
-// sweep. Leases extend the coalescing across the process boundary with
-// nothing but the filesystem:
+// Two processes sharing a cache directory (a daemon plus an operator's
+// ad-hoc characterize run, or two runs) race to execute the same cold
+// experiments. In-process the singleflight memo deduplicates them;
+// leases extend the coalescing across the process boundary on one host,
+// with the kernel as both arbiter and liveness detector:
 //
-//   - A job's lease lives next to its cache entry:
-//     <dir>/<key[:2]>/<key[2:]>.lease. Acquisition is O_CREATE|O_EXCL —
-//     atomic on every filesystem Go supports — so exactly one process
-//     wins a cold key.
-//   - The winner heartbeats the lease by bumping its mtime every TTL/4
-//     while the job runs, writes the result into the cache, then removes
-//     the lease. Losers poll: a cache hit ends the wait; a lease whose
-//     mtime is older than the TTL belongs to a dead process and is taken
-//     over.
-//   - Takeover must not double-fire: contenders race to atomically
-//     os.Rename the stale lease aside (exactly one rename succeeds) and
-//     only the renamer deletes it and re-enters acquisition. A lease can
-//     therefore be reclaimed at most once per expiry, and a kill -9'd
-//     winner delays its key by at most one TTL — it can never deadlock
-//     the fleet.
+//   - A job's lease is an exclusive, non-blocking flock on
+//     <dir>/<key[:2]>/<key[2:]>.lease, next to the cache entry it guards.
+//     flock locks belong to the open file description, so two Caches in
+//     one process exclude each other just as two processes do.
+//   - The winner writes its pid into the file, runs the job, stores the
+//     result in the cache, then releases: it unlinks the path while still
+//     holding the lock and only then closes the file. Losers poll: a
+//     cache hit ends the wait, a free lock means the holder is gone.
+//   - Because a releaser unlinks before unlocking, a contender can open
+//     the path, lose the race to the release, and then lock an inode the
+//     path no longer names. Every acquirer therefore rechecks that its
+//     locked file is still the one at the path (os.SameFile) and retries
+//     otherwise, so exactly one holder exists per path at any instant.
+//   - A holder that dies — kill -9 included — has its lock dropped by the
+//     kernel at once. Its pid record stays behind, so the next acquirer
+//     to find the file non-empty is taking over from a dead holder and
+//     counts a takeover.
 //
 // The protocol is advisory and best-effort by design: any lease-layer
-// I/O error degrades to "run the job locally", which costs duplicated
-// work, never correctness — results are content-addressed, so two
-// processes computing the same key store identical bytes.
-
-// DefaultLeaseTTL is the lease expiry used when EnableLeases is given a
-// non-positive TTL. It must comfortably exceed the heartbeat interval
-// (TTL/4) under a loaded scheduler, and it bounds how long a crashed
-// winner can delay contenders on one key.
-const DefaultLeaseTTL = 10 * time.Second
+// error (no flock on this platform, an unwritable directory, an injected
+// fault) degrades to "run the job locally", which costs duplicated work,
+// never correctness — results are content-addressed, so two processes
+// computing the same key store identical bytes.
 
 // leaseState says how an acquisition attempt ended.
 type leaseState int
@@ -59,51 +48,21 @@ type leaseState int
 const (
 	// leaseWon: this process holds the lease and must run the job.
 	leaseWon leaseState = iota
-	// leaseLost: another live process holds the lease.
+	// leaseLost: another live holder has the lease.
 	leaseLost
 	// leaseErr: the lease layer itself failed; run the job locally.
 	leaseErr
 )
 
-// leaseRecord is the lease file's JSON payload — forensics for `ls`, the
-// journal, and the same-owner check on release. Liveness is carried by
-// the file's mtime (heartbeat), not by the payload.
-type leaseRecord struct {
-	Owner string    `json:"owner"` // host:pid:nonce
-	PID   int       `json:"pid"`
-	Host  string    `json:"host"`
-	Start time.Time `json:"start"`
-}
-
 // leases is the per-cache lease manager.
 type leases struct {
-	dir   string
-	ttl   time.Duration
-	owner string // host:pid:nonce, unique per Cache instance
-	inj   *fault.Injector
+	dir string
+	inj *fault.Injector
 
-	// takeovers observes reclaimed stale leases (runner counter +
-	// journal); the context is the request whose contention discovered
-	// the stale lease, the argument the reclaimed key's hex string.
+	// takeovers observes leases taken over from dead holders (runner
+	// counter + journal); the context is the acquiring request, the
+	// argument the key's hex string.
 	takeovers func(ctx context.Context, key string)
-}
-
-// newLeases builds a lease manager rooted at the cache directory.
-func newLeases(dir string, ttl time.Duration) *leases {
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
-	host, _ := os.Hostname()
-	if host == "" {
-		host = "unknown"
-	}
-	var nb [6]byte
-	rand.Read(nb[:])
-	return &leases{
-		dir:   dir,
-		ttl:   ttl,
-		owner: fmt.Sprintf("%s:%d:%s", host, os.Getpid(), hex.EncodeToString(nb[:])),
-	}
 }
 
 // path returns the lease file for a key, sharded like the cache entry it
@@ -114,174 +73,85 @@ func (l *leases) path(k Key) string {
 }
 
 // tryAcquire attempts to take the lease for k. On leaseWon the caller
-// owns the lease and must Release it; a heartbeat goroutine (stopped by
-// the returned func) keeps the mtime fresh meanwhile. On leaseLost a
-// live owner exists elsewhere. leaseErr means the lease layer is broken
-// (unwritable dir, injected fault): callers fall back to local execution.
-func (l *leases) tryAcquire(ctx context.Context, k Key) (leaseState, func()) {
+// holds the returned locked file and must pass it to releaseLease. On
+// leaseLost a live holder exists. leaseErr means the lease layer is
+// broken: callers fall back to local execution.
+func (l *leases) tryAcquire(ctx context.Context, k Key) (leaseState, *os.File) {
 	path := l.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return leaseErr, nil
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		if os.IsExist(err) {
-			if l.reapIfStale(ctx, path) {
-				// The stale holder is gone and we removed its lease;
-				// immediately re-contend. Another process may win the
-				// re-race — that's fine, they're live.
-				f, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-				if err != nil {
-					return leaseLost, nil
-				}
-			} else {
-				return leaseLost, nil
-			}
-		} else {
+	f, size, state := lockPath(path, os.O_RDWR|os.O_CREATE)
+	if state != leaseWon {
+		return state, nil
+	}
+	if size > 0 {
+		// A clean release unlinks the file, so a record still in it was
+		// left by a holder that died with the lock.
+		if l.takeovers != nil {
+			l.takeovers(ctx, k.String())
+		}
+		if err := f.Truncate(0); err != nil {
+			releaseLease(f)
 			return leaseErr, nil
 		}
 	}
-	rec := leaseRecord{Owner: l.owner, PID: os.Getpid(), Start: time.Now()}
-	if h, _ := os.Hostname(); h != "" {
-		rec.Host = h
-	}
-	data, _ := json.Marshal(rec)
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(path)
+	if _, err := f.WriteString(strconv.Itoa(os.Getpid()) + "\n"); err != nil {
+		releaseLease(f)
 		return leaseErr, nil
 	}
-	// The lease exists and is ours. A crash injected here (after the
-	// durable acquisition, before any work) is the nastiest point for
-	// contenders: they must take the dead lease over, not wait forever.
+	// A crash injected here (lease held and recorded, no work done) dies
+	// with the record in place: the next acquirer must take it over.
 	if err := l.inj.Do(ctx, "lease.acquire:"+k.String()); err != nil {
-		os.Remove(path)
+		releaseLease(f)
 		return leaseErr, nil
 	}
-	stop := l.heartbeat(path)
-	return leaseWon, func() {
-		stop()
-		l.release(path)
-	}
+	return leaseWon, f
 }
 
-// heartbeat bumps the lease's mtime every ttl/4 until stopped, so a live
-// owner's lease never looks stale no matter how long the job runs.
-func (l *leases) heartbeat(path string) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(l.ttl / 4)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				now := time.Now()
-				os.Chtimes(path, now, now)
+// lockPath opens path with flag and takes its exclusive lock without
+// blocking. It returns the locked file and its size on leaseWon, and
+// leaseLost while a live holder keeps the lock. Locking an inode the
+// path no longer names (its holder unlinked it while this open was in
+// flight) is not a win: the loop retries on whatever the path names now.
+func lockPath(path string, flag int) (*os.File, int64, leaseState) {
+	for {
+		f, err := os.OpenFile(path, flag, 0o644)
+		if err != nil {
+			return nil, 0, leaseErr
+		}
+		held, err := tryLock(f)
+		if held {
+			var fi os.FileInfo
+			if fi, err = f.Stat(); err == nil {
+				if pi, perr := os.Stat(path); perr == nil && os.SameFile(fi, pi) {
+					return f, fi.Size(), leaseWon
+				}
 			}
 		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+		f.Close() //splash:allow durability nothing was written through f; closing only drops a lock that guards no lease
+		switch {
+		case err != nil:
+			return nil, 0, leaseErr
+		case !held:
+			return nil, 0, leaseLost
+		}
+		// Locked an inode the path no longer names: retry.
+	}
 }
 
-// release removes the lease if this process still owns it. Ownership can
-// have moved: if we stalled past the TTL a contender legitimately took
-// the lease over, and removing *their* lease would let a third process
-// double-run the job.
-func (l *leases) release(path string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return // already reaped
-	}
-	var rec leaseRecord
-	if json.Unmarshal(data, &rec) == nil && rec.Owner != l.owner {
-		return // taken over; not ours to remove
-	}
-	os.Remove(path)
-}
-
-// reapIfStale checks whether the lease at path has expired and, if so,
-// removes it. Returns true only for the one caller that actually
-// performed the removal: contenders race os.Rename to a unique reap
-// name, and rename's atomicity guarantees a single winner — the losers
-// keep waiting and re-probe.
-func (l *leases) reapIfStale(ctx context.Context, path string) bool {
-	st, err := os.Stat(path)
-	if err != nil {
-		return false // gone already — treat as "someone else reaped"
-	}
-	if time.Since(st.ModTime()) <= l.ttl {
-		return false
-	}
-	var nb [6]byte
-	rand.Read(nb[:])
-	reap := path + ".reap-" + hex.EncodeToString(nb[:])
-	if err := os.Rename(path, reap); err != nil {
-		return false // lost the reap race
-	}
-	os.Remove(reap)
-	if l.takeovers != nil {
-		// Reassemble the key from the sharded lease path:
-		// <dir>/<key[:2]>/<key[2:]>.lease.
-		base := strings.TrimSuffix(filepath.Base(path), ".lease")
-		l.takeovers(ctx, filepath.Base(filepath.Dir(path))+base)
-	}
-	return true
-}
-
-// pidAlive reports whether pid is a live process on this host, via
-// signal 0. Conservative: only a definitive "no such process" counts as
-// dead — permission errors and platforms without signal support count
-// as alive, so a sweep can never kill a live owner's lease.
-func pidAlive(pid int) bool {
-	p, err := os.FindProcess(pid)
-	if err != nil {
-		return false
-	}
-	err = p.Signal(syscall.Signal(0))
-	if err == nil {
-		return true
-	}
-	return !errors.Is(err, os.ErrProcessDone) && !errors.Is(err, syscall.ESRCH)
+// releaseLease ends a held lease: unlink the path while still holding
+// the lock, then close the file, which drops the lock. In the other
+// order a contender could lock the still-linked file between the close
+// and the unlink, pass its SameFile recheck, and then have the path
+// unlinked under it — letting a third process hold a second lease.
+func releaseLease(f *os.File) {
+	os.Remove(f.Name())
+	f.Close()
 }
 
 // waitInterval is how often a losing contender re-probes the cache and
-// the winner's lease. Short enough that cross-process handoff latency is
+// the holder's lock. Short enough that cross-process handoff latency is
 // invisible next to experiment runtimes, long enough to keep the wait
-// loop's stat/read traffic trivial.
+// loop's I/O trivial.
 const waitInterval = 25 * time.Millisecond
-
-// wait blocks until the winner's result lands in the cache (returning
-// it), the lease disappears or goes stale (returning ok=false so the
-// caller re-contends), or ctx expires (returning ctx.Err()).
-func (l *leases) wait(ctx context.Context, c *Cache, k Key, decode func([]byte) (any, error)) (v any, ok bool, err error) {
-	path := l.path(k)
-	t := time.NewTicker(waitInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		case <-t.C:
-		}
-		if v, ok := c.Get(ctx, k, decode); ok {
-			return v, true, nil
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			// Lease gone but no cache entry: the winner failed (or
-			// chose not to store). Re-contend and run it ourselves.
-			return nil, false, nil
-		}
-		if time.Since(st.ModTime()) > l.ttl {
-			if l.reapIfStale(ctx, path) {
-				return nil, false, nil
-			}
-			// Lost the reap race; the reaper is live and about to
-			// re-acquire. Keep waiting on the fresh lease.
-		}
-	}
-}

@@ -2,10 +2,9 @@ package runner
 
 import (
 	"context"
-	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,17 +12,22 @@ import (
 	"time"
 )
 
-// newLeasedCache opens a cache with leases enabled at a test-friendly
-// TTL. Each call gets its own manager (own owner nonce), so two caches
-// on one directory model two processes.
-func newLeasedCache(t *testing.T, dir string, ttl time.Duration) *Cache {
+// newLeasedCache opens a cache with leases enabled. Each call opens its
+// own lease files, so two caches on one directory model two processes.
+func newLeasedCache(t *testing.T, dir string) *Cache {
 	t.Helper()
 	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableLeases(ttl)
+	c.EnableLeases()
 	return c
+}
+
+// leaseFiles lists the lease files under a cache directory.
+func leaseFiles(dir string) []string {
+	files, _ := filepath.Glob(filepath.Join(dir, "*", "*.lease"))
+	return files
 }
 
 // TestLeaseCoalescesTwoRunners is the acceptance property: two runners
@@ -40,8 +44,8 @@ func TestLeaseCoalescesTwoRunners(t *testing.T) {
 	key := KeyOf("test", "lease-coalesce")
 
 	runners := []*Runner{
-		New(Options{Cache: newLeasedCache(t, dir, time.Second)}),
-		New(Options{Cache: newLeasedCache(t, dir, time.Second)}),
+		New(Options{Cache: newLeasedCache(t, dir)}),
+		New(Options{Cache: newLeasedCache(t, dir)}),
 	}
 	var wg sync.WaitGroup
 	results := make([]int, len(runners))
@@ -78,36 +82,40 @@ func TestLeaseCoalescesTwoRunners(t *testing.T) {
 		t.Errorf("lease counters: acquired=%d shared=%d, want 1/1", acquired, shared)
 	}
 	// The handoff must leave no lease behind.
-	leases, _ := filepath.Glob(filepath.Join(dir, "*", "*.lease"))
-	if len(leases) != 0 {
+	if leases := leaseFiles(dir); len(leases) != 0 {
 		t.Errorf("leaked leases after clean handoff: %v", leases)
 	}
 }
 
-// writeStaleLease plants a lease file whose mtime is past the TTL, as a
-// crashed process would leave it.
-func writeStaleLease(t *testing.T, l *leases, k Key, age time.Duration) string {
+// plantDeadLease leaves a lease file as a holder killed mid-job does:
+// its pid record in place and no lock held on it.
+func plantDeadLease(t *testing.T, l *leases, k Key) string {
 	t.Helper()
 	path := l.path(k)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	rec := leaseRecord{Owner: "deadhost:1:aa", PID: 1, Host: "deadhost", Start: time.Now().Add(-age)}
-	data, _ := json.Marshal(rec)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-age)
-	if err := os.Chtimes(path, old, old); err != nil {
+	if err := os.WriteFile(path, []byte("999999\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestLeaseTakeoverRace: many contenders hit one stale lease at once.
-// Exactly one may reap it (rename atomicity) and exactly one may win the
-// re-acquisition; everyone else must see leaseLost, never an error and
-// never a second takeover.
+// holdLease takes k's lease through a fresh Cache on dir — another
+// process, as far as the lease protocol can tell — and fails the test
+// unless it wins.
+func holdLease(t *testing.T, dir string, k Key) *os.File {
+	t.Helper()
+	state, f := newLeasedCache(t, dir).leaseManager().tryAcquire(context.Background(), k)
+	if state != leaseWon {
+		t.Fatalf("setup: tryAcquire = %v, want leaseWon", state)
+	}
+	return f
+}
+
+// TestLeaseTakeoverRace: many contenders hit one dead holder's lease at
+// once. The kernel lock admits exactly one of them, which counts the
+// single takeover; everyone else must see leaseLost, never an error.
 func TestLeaseTakeoverRace(t *testing.T) {
 	dir := t.TempDir()
 	k := KeyOf("test", "takeover-race")
@@ -116,19 +124,19 @@ func TestLeaseTakeoverRace(t *testing.T) {
 	const contenders = 8
 	mgrs := make([]*leases, contenders)
 	for i := range mgrs {
-		mgrs[i] = newLeases(dir, 100*time.Millisecond)
+		mgrs[i] = newLeasedCache(t, dir).leaseManager()
 		mgrs[i].takeovers = func(context.Context, string) { takeovers.Add(1) }
 	}
-	writeStaleLease(t, mgrs[0], k, time.Minute)
+	plantDeadLease(t, mgrs[0], k)
 
 	states := make([]leaseState, contenders)
-	releases := make([]func(), contenders)
+	held := make([]*os.File, contenders)
 	var wg sync.WaitGroup
 	for i := range mgrs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			states[i], releases[i] = mgrs[i].tryAcquire(context.Background(), k)
+			states[i], held[i] = mgrs[i].tryAcquire(context.Background(), k)
 		}(i)
 	}
 	wg.Wait()
@@ -138,7 +146,7 @@ func TestLeaseTakeoverRace(t *testing.T) {
 		switch s {
 		case leaseWon:
 			won++
-			defer releases[i]()
+			defer releaseLease(held[i])
 		case leaseLost:
 			lost++
 		case leaseErr:
@@ -149,157 +157,216 @@ func TestLeaseTakeoverRace(t *testing.T) {
 		t.Fatalf("states: won=%d lost=%d err=%d, want exactly one winner and no errors", won, lost, errs)
 	}
 	if n := takeovers.Load(); n != 1 {
-		t.Errorf("stale lease reaped %d times, want exactly 1", n)
+		t.Errorf("dead lease taken over %d times, want exactly 1", n)
 	}
 }
 
-// TestLeaseHeartbeatKeepsLeaseFresh: a held lease outliving its TTL must
-// not look stale — the heartbeat bumps its mtime.
-func TestLeaseHeartbeatKeepsLeaseFresh(t *testing.T) {
+// TestLeaseContenderLosesWhileHolderLives: however long a live holder
+// runs, a contender loses and the lease file stays; once the holder
+// releases, the contender wins a fresh lease — not a takeover — and its
+// own release leaves nothing behind.
+func TestLeaseContenderLosesWhileHolderLives(t *testing.T) {
 	dir := t.TempDir()
-	l := newLeases(dir, 200*time.Millisecond)
-	k := KeyOf("test", "heartbeat")
-	state, release := l.tryAcquire(context.Background(), k)
-	if state != leaseWon {
-		t.Fatalf("tryAcquire = %v, want leaseWon", state)
-	}
-	defer release()
+	k := KeyOf("test", "holder-lives")
+	holder := holdLease(t, dir, k)
 
-	time.Sleep(500 * time.Millisecond) // 2.5 TTLs
-	st, err := os.Stat(l.path(k))
-	if err != nil {
+	var takeovers atomic.Int64
+	l := newLeasedCache(t, dir).leaseManager()
+	l.takeovers = func(context.Context, string) { takeovers.Add(1) }
+	for i := 0; i < 5; i++ {
+		if state, _ := l.tryAcquire(context.Background(), k); state != leaseLost {
+			t.Fatalf("probe %d against a live holder = %v, want leaseLost", i, state)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if _, err := os.Stat(l.path(k)); err != nil {
 		t.Fatalf("lease vanished while held: %v", err)
 	}
-	if age := time.Since(st.ModTime()); age > l.ttl {
-		t.Errorf("held lease looks stale (age %v > ttl %v); heartbeat not running", age, l.ttl)
-	}
-	if l.reapIfStale(context.Background(), l.path(k)) {
-		t.Error("contender reaped a heartbeating lease")
-	}
-}
 
-// TestLeaseReleaseRespectsTakeover: releasing after a contender took the
-// lease over must not remove the contender's lease.
-func TestLeaseReleaseRespectsTakeover(t *testing.T) {
-	dir := t.TempDir()
-	a := newLeases(dir, time.Hour)
-	k := KeyOf("test", "release-owner")
-	path := a.path(k)
-	state, release := a.tryAcquire(context.Background(), k)
+	releaseLease(holder)
+	state, f := l.tryAcquire(context.Background(), k)
 	if state != leaseWon {
-		t.Fatalf("tryAcquire = %v, want leaseWon", state)
+		t.Fatalf("tryAcquire after release = %v, want leaseWon", state)
 	}
-
-	// Simulate a takeover: replace the record with another owner's.
-	rec := leaseRecord{Owner: "otherhost:9:bb", PID: 9, Host: "otherhost", Start: time.Now()}
-	data, _ := json.Marshal(rec)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+	releaseLease(f)
+	if n := takeovers.Load(); n != 0 {
+		t.Errorf("clean handoff counted %d takeovers, want 0", n)
 	}
-
-	release()
-	if _, err := os.Stat(path); err != nil {
-		t.Error("release removed a lease it no longer owned")
+	if leases := leaseFiles(dir); len(leases) != 0 {
+		t.Errorf("leaked leases after release: %v", leases)
 	}
-	os.Remove(path)
 }
 
-// TestLeaseWaitWinnerVanished: a waiting loser whose winner removed its
-// lease without storing must re-contend (ok=false), not wait forever.
+// TestLeaseMutualExclusionChurn: goroutines with their own Caches on one
+// directory acquire, hold and release one key for many rounds. Holders
+// must never overlap — the SameFile recheck and unlink-before-close are
+// what make that hold under release/acquire interleavings — and the
+// churn must leave no lease file behind.
+func TestLeaseMutualExclusionChurn(t *testing.T) {
+	dir := t.TempDir()
+	k := KeyOf("test", "churn")
+	const workers, rounds = 8, 200
+	var holders, overlaps atomic.Int64
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		l := newLeasedCache(t, dir).leaseManager()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				var f *os.File
+				for f == nil {
+					switch state, held := l.tryAcquire(context.Background(), k); state {
+					case leaseWon:
+						f = held
+					case leaseErr:
+						t.Error("tryAcquire failed in the lease layer")
+						return
+					default:
+						runtime.Gosched()
+					}
+				}
+				if holders.Add(1) != 1 {
+					overlaps.Add(1)
+				}
+				runtime.Gosched()
+				holders.Add(-1)
+				releaseLease(f)
+			}
+		}()
+	}
+	wg.Wait()
+
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("%d acquisitions overlapped another holder, want 0", n)
+	}
+	if leases := leaseFiles(dir); len(leases) != 0 {
+		t.Errorf("leaked leases after churn: %v", leases)
+	}
+}
+
+// leasedJob submits k as one job on a fresh leased runner over dir and
+// returns the graph plus the job's execution counter.
+func leasedJob(t *testing.T, dir string, k Key, opts Options) (*Runner, *Graph, *atomic.Int64) {
+	t.Helper()
+	opts.Cache = newLeasedCache(t, dir)
+	r := New(opts)
+	g := r.NewGraph()
+	var executions atomic.Int64
+	Submit(g, Spec{Label: "leased", Key: k}, func(context.Context) (int, error) {
+		executions.Add(1)
+		return 5, nil
+	})
+	return r, g, &executions
+}
+
+// TestLeaseWaitWinnerVanished: a waiting loser whose holder released
+// without storing must win the lease and run the job itself, not wait
+// forever.
 func TestLeaseWaitWinnerVanished(t *testing.T) {
 	dir := t.TempDir()
-	c := newLeasedCache(t, dir, time.Hour)
-	l := c.leaseManager()
 	k := KeyOf("test", "winner-vanished")
-	// No lease on disk at all: wait must return immediately-ish.
+	holder := holdLease(t, dir, k)
+	time.AfterFunc(100*time.Millisecond, func() { releaseLease(holder) })
+
+	r, g, executions := leasedJob(t, dir, k, Options{})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, ok, err := l.wait(ctx, c, k, decodeInt)
-	if err != nil || ok {
-		t.Fatalf("wait = ok=%v err=%v, want re-contend (false, nil)", ok, err)
+	if err := g.Wait(ctx); err != nil {
+		t.Fatalf("Wait = %v, want the waiter to run the job", err)
+	}
+	c := r.Counts()
+	if executions.Load() != 1 || c.LeaseAcquired != 1 || c.LeaseShared != 0 {
+		t.Errorf("executions=%d acquired=%d shared=%d, want 1/1/0",
+			executions.Load(), c.LeaseAcquired, c.LeaseShared)
+	}
+	if leases := leaseFiles(dir); len(leases) != 0 {
+		t.Errorf("leaked leases: %v", leases)
 	}
 }
 
-// TestLeaseWaitReapsStaleWinner: a waiter polling a dead winner's lease
-// takes it over after the TTL instead of deadlocking on it.
-func TestLeaseWaitReapsStaleWinner(t *testing.T) {
+// TestLeaseWaitTakesOverDeadHolder: a holder whose file is closed
+// without the unlink — what the kernel does for a killed process — lets
+// a waiter win at once; the waiter journals exactly one takeover.
+func TestLeaseWaitTakesOverDeadHolder(t *testing.T) {
 	dir := t.TempDir()
-	c := newLeasedCache(t, dir, 100*time.Millisecond)
-	l := c.leaseManager()
-	k := KeyOf("test", "stale-winner")
-	writeStaleLease(t, l, k, time.Minute)
+	k := KeyOf("test", "dead-holder")
+	holder := holdLease(t, dir, k)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, ok, err := l.wait(ctx, c, k, decodeInt)
-	if err != nil || ok {
-		t.Fatalf("wait = ok=%v err=%v, want takeover re-contend (false, nil)", ok, err)
-	}
-	if _, err := os.Stat(l.path(k)); !os.IsNotExist(err) {
-		t.Error("stale lease still present after wait's takeover")
-	}
-}
-
-// TestLeaseWaitHonoursContext: a cancelled waiter returns the context
-// error instead of polling on.
-func TestLeaseWaitHonoursContext(t *testing.T) {
-	dir := t.TempDir()
-	c := newLeasedCache(t, dir, time.Hour)
-	l := c.leaseManager()
-	k := KeyOf("test", "wait-ctx")
-	// A live (fresh) foreign lease, never released.
-	other := newLeases(dir, time.Hour)
-	if state, _ := other.tryAcquire(context.Background(), k); state != leaseWon {
-		t.Fatal("setup: other manager could not acquire")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	_, ok, err := l.wait(ctx, c, k, decodeInt)
-	if ok || err == nil {
-		t.Fatalf("wait = ok=%v err=%v, want context error", ok, err)
-	}
-}
-
-// deadPID returns the pid of a process that has definitely exited: the
-// test binary itself, re-run with no tests selected.
-func deadPID(t *testing.T) int {
-	t.Helper()
-	exe, err := os.Executable()
+	j, err := OpenJournal(t.TempDir())
 	if err != nil {
-		t.Skip("no executable path:", err)
-	}
-	cmd := exec.Command(exe, "-test.run=^$")
-	if err := cmd.Run(); err != nil {
-		t.Skip("cannot re-exec test binary:", err)
-	}
-	return cmd.Process.Pid
-}
-
-// TestSweepCrashed: an explicit resume sweep reclaims expired leases,
-// same-host dead-owner leases and temp files, while leaving a live
-// owner's fresh lease alone.
-func TestSweepCrashed(t *testing.T) {
-	dir := t.TempDir()
-	c := newLeasedCache(t, dir, time.Hour)
-	l := c.leaseManager()
-
-	stale := writeStaleLease(t, l, KeyOf("test", "sweep-stale"), 2*time.Hour)
-
-	host, _ := os.Hostname()
-	deadKey := KeyOf("test", "sweep-dead-pid")
-	deadPath := l.path(deadKey)
-	os.MkdirAll(filepath.Dir(deadPath), 0o755)
-	rec := leaseRecord{Owner: "x", PID: deadPID(t), Host: host, Start: time.Now()}
-	data, _ := json.Marshal(rec)
-	if err := os.WriteFile(deadPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	r, g, executions := leasedJob(t, dir, k, Options{Journal: j})
+	died := make(chan time.Time, 1)
+	time.AfterFunc(100*time.Millisecond, func() {
+		died <- time.Now()
+		holder.Close()
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := g.Wait(ctx); err != nil {
+		t.Fatalf("Wait = %v, want the waiter to take the lease over", err)
+	}
+	if waited := time.Since(<-died); waited > time.Second {
+		t.Errorf("waiter took %v to take over a dead holder's lease", waited)
+	}
+	if executions.Load() != 1 {
+		t.Errorf("job executed %d times, want 1", executions.Load())
+	}
+	if n := r.Counts().LeaseTakeovers; n != 1 {
+		t.Errorf("LeaseTakeovers = %d, want 1", n)
+	}
+	events, err := ReadJournal(j.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	takeovers := 0
+	for _, ev := range events {
+		if ev.Event == "lease.takeover" {
+			takeovers++
+			if ev.Key != k.String() {
+				t.Errorf("lease.takeover key = %s, want %s", ev.Key, k)
+			}
+		}
+	}
+	if takeovers != 1 {
+		t.Errorf("journal has %d lease.takeover events, want 1", takeovers)
+	}
+	if leases := leaseFiles(dir); len(leases) != 0 {
+		t.Errorf("leaked leases: %v", leases)
+	}
+}
+
+// TestLeaseWaitHonoursContext: a waiter whose context ends returns the
+// context error instead of polling on, and never runs the job.
+func TestLeaseWaitHonoursContext(t *testing.T) {
+	dir := t.TempDir()
+	k := KeyOf("test", "wait-ctx")
+	defer releaseLease(holdLease(t, dir, k)) // a live holder, never done
+
+	_, g, executions := leasedJob(t, dir, k, Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if err := g.Wait(ctx); err == nil {
+		t.Fatal("Wait succeeded against a live holder, want the context error")
+	}
+	if n := executions.Load(); n != 0 {
+		t.Errorf("job executed %d times while another holder had the lease", n)
+	}
+}
+
+// TestSweepCrashed: an explicit resume sweep reclaims dead holders'
+// leases and temp files, while leaving a live holder's lease alone.
+func TestSweepCrashed(t *testing.T) {
+	dir := t.TempDir()
+	c := newLeasedCache(t, dir)
+	dead := plantDeadLease(t, c.leaseManager(), KeyOf("test", "sweep-dead"))
 
 	liveKey := KeyOf("test", "sweep-live")
-	if state, _ := l.tryAcquire(context.Background(), liveKey); state != leaseWon {
-		t.Fatal("setup: could not acquire live lease")
-	}
-	livePath := l.path(liveKey)
+	defer releaseLease(holdLease(t, dir, liveKey))
+	livePath := c.leaseManager().path(liveKey)
 
 	tmp := filepath.Join(dir, "ab", ".tmp-orphan")
 	os.MkdirAll(filepath.Dir(tmp), 0o755)
@@ -307,15 +374,18 @@ func TestSweepCrashed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	removed := c.SweepCrashed(time.Hour)
+	removed := c.SweepCrashed()
 	got := strings.Join(removed, "\n")
-	for _, want := range []string{stale, deadPath, tmp} {
+	for _, want := range []string{dead, tmp} {
 		if !strings.Contains(got, want) {
 			t.Errorf("sweep did not reclaim %s (removed: %v)", want, removed)
 		}
 	}
+	if strings.Contains(got, livePath) {
+		t.Errorf("sweep reported a live holder's lease as removed: %v", removed)
+	}
 	if _, err := os.Stat(livePath); err != nil {
-		t.Errorf("sweep removed a live owner's lease: %v", err)
+		t.Errorf("sweep removed a live holder's lease: %v", err)
 	}
 }
 

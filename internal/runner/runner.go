@@ -101,7 +101,7 @@ type Counts struct {
 	// this process lost the lease race and read the winner's cache
 	// entry instead of recomputing.
 	LeaseShared int64
-	// LeaseTakeovers counts stale leases reclaimed from dead processes.
+	// LeaseTakeovers counts leases taken over from dead holders.
 	LeaseTakeovers int64
 }
 
@@ -629,10 +629,11 @@ func (g *Graph) execute(parent context.Context, need []*job) error {
 // lease runs the job and stores the result durably *before* releasing
 // the lease, so losers polling the cache observe result-then-release,
 // never a gap. Losers wait on the winner's entry instead of recomputing
-// (shared=true); if the winner dies its lease expires and is taken over,
-// so the loop always terminates in a local execution or a shared result.
-// Jobs without a storable key — and any lease-layer error — fall back to
-// plain local execution: leases are an optimisation, never a gate.
+// (shared=true): each round they retry the lock, sleep, and check the
+// cache, until a hit, a won lock (the holder released without storing,
+// or died), or ctx ends the wait. Jobs without a storable key — and any
+// lease-layer error — fall back to plain local execution: leases are an
+// optimisation, never a gate.
 func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err error) {
 	c := g.r.opts.Cache
 	ls := c.leaseManager()
@@ -640,28 +641,36 @@ func (g *Graph) runLeased(ctx context.Context, j *job) (v any, shared bool, err 
 		v, err = g.runStored(ctx, j)
 		return v, false, err
 	}
-	for {
-		state, release := ls.tryAcquire(ctx, j.key)
+	for waited := false; ; waited = true {
+		state, lease := ls.tryAcquire(ctx, j.key)
 		switch state {
 		case leaseWon:
+			// The previous holder may have stored and released between
+			// this waiter's last cache check and its acquisition.
+			if waited {
+				if v, ok := c.Get(ctx, j.key, j.decode); ok {
+					releaseLease(lease)
+					g.r.leaseShared.Add(1)
+					return v, true, nil
+				}
+			}
 			g.r.leaseAcquired.Add(1)
 			v, err = g.runStored(ctx, j)
-			release()
+			releaseLease(lease)
 			return v, false, err
 		case leaseErr:
 			v, err = g.runStored(ctx, j)
 			return v, false, err
-		default: // leaseLost: another live process is computing this key
-			v, ok, werr := ls.wait(ctx, c, j.key, j.decode)
-			if werr != nil {
-				return nil, false, werr
-			}
-			if ok {
-				g.r.leaseShared.Add(1)
-				return v, true, nil
-			}
-			// The winner vanished without storing (crash or failure):
-			// re-contend and, if we win, run the job ourselves.
+		}
+		// leaseLost: another live holder is computing this key.
+		select {
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		case <-time.After(waitInterval):
+		}
+		if v, ok := c.Get(ctx, j.key, j.decode); ok {
+			g.r.leaseShared.Add(1)
+			return v, true, nil
 		}
 	}
 }

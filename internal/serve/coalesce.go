@@ -17,7 +17,8 @@ import (
 // result to another correct.
 type flight struct {
 	key  string
-	done chan struct{} // closed when body/err are final
+	ctx  context.Context // the flight's execution context (leader's deadline)
+	done chan struct{}   // closed when body/err are final
 
 	// Results, final under done.
 	body     []byte // the rendered JSON response (Results.WriteJSON bytes)
@@ -119,7 +120,10 @@ func newCoalescer(engine *core.Engine, inflight, queue int) *coalescer {
 func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) {
 	key := req.Key().String()
 	c.mu.Lock()
-	if f, live := c.flights[key]; live {
+	// A flight whose context has ended is doomed even while run has not
+	// yet removed it: a new request starts a fresh flight instead of
+	// inheriting the old one's 504.
+	if f, live := c.flights[key]; live && f.ctx.Err() == nil {
 		c.coalesced++
 		c.mu.Unlock()
 		return f, true
@@ -129,24 +133,24 @@ func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) 
 		c.mu.Unlock()
 		return nil, false
 	}
-	f := &flight{key: key, etag: req.ETag(), done: make(chan struct{})}
-	c.flights[key] = f
-	c.active++
-	c.started++
-	c.mu.Unlock()
-
 	// The leader's deadline bounds the flight context: doomed work is
 	// cancelled whether it is still queued for a slot or already
 	// executing, so an expired request never wedges the pipeline. (The
 	// deadline is excluded from the content address, so a patient and an
 	// impatient client still coalesce — the leader's patience governs.)
+	fctx, cancel := ctx, context.CancelFunc(func() {})
+	if d := req.Deadline(); d > 0 {
+		fctx, cancel = context.WithTimeout(ctx, d)
+	}
+	f := &flight{key: key, ctx: fctx, etag: req.ETag(), done: make(chan struct{})}
+	c.flights[key] = f
+	c.active++
+	c.started++
+	c.mu.Unlock()
+
 	go func() {
-		fctx, cancel := ctx, context.CancelFunc(func() {})
-		if d := req.Deadline(); d > 0 {
-			fctx, cancel = context.WithTimeout(ctx, d)
-		}
 		defer cancel()
-		c.run(fctx, req, f)
+		c.run(req, f)
 	}()
 	return f, true
 }
@@ -154,10 +158,13 @@ func (c *coalescer) join(ctx context.Context, req core.Request) (*flight, bool) 
 // run executes one flight: wait for an execution slot, run the request
 // through a scoped engine view with progress streaming to subscribers,
 // render the response bytes once, finish.
-func (c *coalescer) run(ctx context.Context, req core.Request, f *flight) {
+func (c *coalescer) run(req core.Request, f *flight) {
+	ctx := f.ctx
 	defer func() {
 		c.mu.Lock()
-		delete(c.flights, f.key)
+		if c.flights[f.key] == f { // a doomed flight may have been replaced
+			delete(c.flights, f.key)
+		}
 		c.active--
 		c.mu.Unlock()
 		close(f.done)

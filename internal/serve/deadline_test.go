@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -67,6 +68,69 @@ func TestDeadlineExceededReturns504(t *testing.T) {
 	}
 	if !s.BeginDrain(10 * time.Second) {
 		t.Error("drain wedged after a deadline 504")
+	}
+}
+
+// TestNewRequestSkipsDoomedFlight: a request that arrives after the
+// previous flight's leader deadline lapsed, but before that flight has
+// left the coalescer, must start a flight of its own and get 200 — not
+// join the doomed one and inherit its 504.
+func TestNewRequestSkipsDoomedFlight(t *testing.T) {
+	s, ts := newTestServer(t, core.EngineOptions{}, Options{})
+	gate := make(chan struct{})
+	s.co.hookFlightStart = func(string) { <-gate }
+
+	resp := postJSON(t, ts.URL, smallReq(), map[string]string{headerDeadline: "100ms"})
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("doomed request = %d, want 504", resp.StatusCode)
+	}
+	// The doomed flight is still registered, parked at the gate; wait
+	// until its context has observably expired.
+	waitFor(t, "the doomed flight's context to expire", func() bool {
+		s.co.mu.Lock()
+		defer s.co.mu.Unlock()
+		for _, f := range s.co.flights {
+			if f.ctx.Err() == nil {
+				return false
+			}
+		}
+		return len(s.co.flights) == 1
+	})
+
+	status := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(smallReq())
+		resp, err := http.Post(ts.URL+"/v1/experiments", "application/json", bytes.NewReader(body))
+		if err != nil {
+			status <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	waitFor(t, "the second request to reach the coalescer", func() bool {
+		started, coalesced, _, _, _ := s.co.counts()
+		return started+coalesced == 2
+	})
+	close(gate)
+	if code := <-status; code != http.StatusOK {
+		t.Fatalf("request after a doomed flight = %d, want 200", code)
+	}
+	if started, coalesced, _, _, _ := s.co.counts(); started != 2 || coalesced != 0 {
+		t.Errorf("flights started=%d coalesced=%d, want 2/0", started, coalesced)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for end := time.Now().Add(5 * time.Second); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
 	}
 }
 

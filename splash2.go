@@ -28,7 +28,6 @@ package splash2
 
 import (
 	"io"
-	"time"
 
 	"splash2/internal/apps"
 	_ "splash2/internal/apps/all"
@@ -243,12 +242,13 @@ func DefaultCacheDir() (string, error) { return core.DefaultCacheDir() }
 func DefaultLineSizes() []int { return core.DefaultLineSizes() }
 
 // Crash consistency and multi-process sharing. Runs with a cache
-// directory hold cross-process work leases (so concurrent processes
-// coalesce expensive jobs instead of duplicating them) and append a
-// durable run journal under <cache-dir>/journal. After a crash, Resume
-// reports what the dead run had finished and reclaims its leases and
-// temp artifacts; the result cache then supplies everything it
-// completed.
+// directory hold cross-process work leases — kernel file locks beside
+// the cache entries, so concurrent processes on one host coalesce
+// expensive jobs instead of duplicating them, and a killed holder's
+// lease frees the moment it dies — and append a durable run journal
+// under <cache-dir>/journal. After a crash, Resume reports what the dead
+// run had finished and removes its lease and temp files; the result
+// cache then supplies everything it completed.
 type (
 	// ResumeReport describes what a resume pass found and reclaimed.
 	ResumeReport = core.ResumeReport
@@ -256,17 +256,12 @@ type (
 	RunSummary = runner.RunSummary
 )
 
-// DefaultLeaseTTL is the default cross-process work-lease expiry
-// (ReportOptions.LeaseTTL = 0); a crashed lease holder delays
-// contenders on its key by at most this long.
-const DefaultLeaseTTL = runner.DefaultLeaseTTL
-
 // Resume scans a cache directory for crashed runs: dead journals are
 // reported and marked resumed, and orphaned leases/temp/spill files are
 // swept. Run the characterization normally afterwards — cache hits are
 // the resume.
-func Resume(cacheDir string, leaseTTL time.Duration) (*ResumeReport, error) {
-	return core.Resume(cacheDir, leaseTTL)
+func Resume(cacheDir string) (*ResumeReport, error) {
+	return core.Resume(cacheDir)
 }
 
 // Fault tolerance and failure semantics. A characterization run in
